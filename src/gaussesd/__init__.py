@@ -2,7 +2,7 @@
 
 Covariance-matrix dynamics in closed form, the Simon separability test,
 entanglement-sudden-death detection (analytic and numeric), and an
-independent truncated-Fock-space master-equation integrator for
+independent truncated-Fock-space master-equation propagator for
 cross-validation.
 """
 

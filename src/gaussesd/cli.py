@@ -9,6 +9,7 @@ configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +44,8 @@ MOMENT_FIELDS = ("n1", "n2", "m1", "m2", "ms", "mc")
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, int):
         return str(x)
     value = float(x)
@@ -65,7 +68,8 @@ def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
         lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
         return "\n".join(lines) + "\n"
     body = ",\n".join(
-        "    [" + ", ".join(_fmt(cell) for cell in row) + "]" for row in rows
+        "    [" + ", ".join(json.dumps(c) if isinstance(c, str) else _fmt(c) for c in row) + "]"
+        for row in rows
     )
     cols = ", ".join(f'"{name}"' for name in header)
     return "{\n  \"columns\": [" + cols + "],\n  \"rows\": [\n" + body + "\n  ]\n}\n"
@@ -126,31 +130,29 @@ def _analytic_applicable(cfg: RunConfig) -> bool:
 def cmd_esd(args) -> int:
     cfg = _load_config(args)
     numeric = t_esd_numeric(cfg.state, cfg.channel, cfg.time.t_max)
-    lines = [f"kind: {numeric.kind.value}"]
+    fields = [("kind", numeric.kind.value)]
     if numeric.t_esd is not None:
-        lines.append(f"t_esd_numeric: {_fmt(numeric.t_esd)}")
+        fields.append(("t_esd_numeric", numeric.t_esd))
 
     analytic = None
     if _analytic_applicable(cfg):
         analytic = t_esd_analytic_symmetric(cfg.state.z1, cfg.state.r, cfg.channel.gamma1)
-        lines.append(f"kind_analytic: {analytic.kind.value}")
+        fields.append(("kind_analytic", analytic.kind.value))
         if analytic.t_esd is not None:
-            lines.append(f"t_esd_analytic: {_fmt(analytic.t_esd)}")
+            fields.append(("t_esd_analytic", analytic.t_esd))
         if numeric.t_esd is not None and analytic.t_esd is not None:
             rel = abs(numeric.t_esd - analytic.t_esd) / analytic.t_esd
-            lines.append(f"relative_difference: {_fmt(rel)}")
+            fields.append(("relative_difference", rel))
     else:
-        lines.append("kind_analytic: not-applicable")
+        fields.append(("kind_analytic", "not-applicable"))
 
     if cfg.state.z1 == 0.0 and cfg.state.z2 == 0.0:
         r_min = initial_entanglement_threshold(cfg.state.nu1, cfg.state.nu2)
-        lines.append(f"initial_entanglement_threshold: {_fmt(r_min)}")
+        fields.append(("initial_entanglement_threshold", r_min))
 
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
+    sys.stdout.write("".join(f"{name}: {_fmt(value)}\n" for name, value in fields))
     if cfg.output.path != "-":
-        rows = [[line.split(": ")[0], line.split(": ")[1]] for line in lines]
-        _write_text(cfg.output.path, _render_table(["field", "value"], rows, cfg.output.format))
+        _write_text(cfg.output.path, _render_table(["field", "value"], fields, cfg.output.format))
     return 0
 
 
@@ -221,7 +223,7 @@ ORACLE_GAMMA_T = (0.5, 1.0, 2.0)
 ADVISORY_TAIL_TOL = 1e-3
 
 
-def _oracle_single(p, ch, times, cutoff, dt, tail_tol):
+def _oracle_single(p, ch, times, cutoff, tail_tol):
     """Integrate one configuration, returning rows (t, per-moment deviation,
     max deviation) against the closed-form evolution."""
     rows = []
@@ -229,7 +231,7 @@ def _oracle_single(p, ch, times, cutoff, dt, tail_tol):
     t_prev = 0.0
     worst = 0.0
     for t in times:
-        rho = fock.integrate(rho, ch, t - t_prev, dt=dt, tail_tol=tail_tol)
+        rho = fock.integrate(rho, ch, t - t_prev, tail_tol=tail_tol)
         t_prev = t
         got = fock.moments(rho)
         want = evolve(p, ch, t)
@@ -242,7 +244,6 @@ def _oracle_single(p, ch, times, cutoff, dt, tail_tol):
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
     cutoff = cfg.oracle.cutoff
-    dt = cfg.oracle.dt if cfg.oracle.dt > 0 else None
 
     if args.config:
         gamma_max = max(cfg.channel.gamma1, cfg.channel.gamma2)
@@ -273,7 +274,7 @@ def cmd_oracle_check(args) -> int:
             sys.stderr.write(
                 "warning: parameters outside certified domain; output is advisory\n"
             )
-        chunk, chunk_worst = _oracle_single(p, ch, times, cutoff, dt, tail_tol)
+        chunk, chunk_worst = _oracle_single(p, ch, times, cutoff, tail_tol)
         worst = max(worst, chunk_worst)
         for row in chunk:
             rows.append([idx] + row)
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("evolve", cmd_evolve, "write the evolved moments and Simon value on a time grid"),
         ("esd", cmd_esd, "classify the entanglement decay and report separation times"),
         ("sweep", cmd_sweep, "emit grid data for parameter sweeps"),
-        ("oracle-check", cmd_oracle_check, "compare closed forms against the Fock integrator"),
+        ("oracle-check", cmd_oracle_check, "compare closed forms against the Fock propagator"),
         ("dump-config", cmd_dump_config, "print the fully explicit configuration"),
     ):
         p = sub.add_parser(name, help=desc)

@@ -66,7 +66,7 @@ class OutputSpec:
 @dataclass(frozen=True)
 class OracleSpec:
     cutoff: int = 20
-    dt: float = 0.0  # 0 means automatic
+    dt: float = 0.0  # ignored: the propagator is exact; kept so configs load
     times: tuple[float, ...] = ()  # empty means derived from the channel
 
     def __post_init__(self):

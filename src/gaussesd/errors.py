@@ -34,7 +34,8 @@ class CutoffInsufficient(GaussEsdError):
 
 
 class StepTooLarge(GaussEsdError):
-    """Fixed-step integration failed the step-halving acceptance test."""
+    """Fock propagation failed the split-consistency gate: E(t) rho and
+    E(t/2) E(t/2) rho differ in some moment by 1e-6 or more."""
 
 
 class NonNegligibleImaginaryPart(GaussEsdError):

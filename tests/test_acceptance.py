@@ -13,9 +13,7 @@ neither; see test_criterion_3b_coarse_reading_tolerance.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -283,12 +281,9 @@ def test_criterion_8_oracle_equivalence_grid():
         for z in (0.0, 0.2, 0.4)
         for nb in (0.0, 0.25, 0.5)
     ]
-    workers = min(2, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            deviations = list(pool.map(_criterion8_case, cases))
-    else:
-        deviations = [_criterion8_case(case) for case in cases]
+    # serial: the propagator is bound by BLAS matmuls, which already use the
+    # cores; a process pool on top oversubscribes them
+    deviations = [_criterion8_case(case) for case in cases]
     worst = max(deviations)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-3, f"worst oracle deviation {worst:.3e}"

@@ -190,6 +190,41 @@ class TestEsdCommand:
         threshold = float(out.split("initial_entanglement_threshold: ")[1].split()[0])
         assert threshold == pytest.approx(math.log(9.0) / 4.0, abs=1e-9)
 
+    FINITE_CFG = (
+        "[state]\nz1 = 2\nz2 = 2\nr = 1\n"
+        "[channel]\ngamma1 = 0.1\ngamma2 = 0.1\n"
+        "[time]\nt_max = 60\n"
+    )
+
+    def _run_with_out(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "esd.cfg"
+        cfg.write_text(self.FINITE_CFG)
+        assert main(["esd", "--config", str(cfg)]) == 0
+        report = capsys.readouterr().out
+        out = tmp_path / f"esd.{fmt}"
+        assert main(["esd", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().out == report  # the report does not change
+        fields = [line.split(": ") for line in report.splitlines()]
+        return fields, out.read_text()
+
+    def test_out_csv_writes_report_fields(self, tmp_path, capsys):
+        fields, text = self._run_with_out(tmp_path, capsys, "csv")
+        lines = text.splitlines()
+        assert lines[0] == "field,value"
+        assert [line.split(",") for line in lines[1:]] == fields
+        assert lines[1] == "kind,FiniteTime"
+
+    def test_out_json_writes_numbers_and_strings(self, tmp_path, capsys):
+        fields, text = self._run_with_out(tmp_path, capsys, "json")
+        doc = json.loads(text)
+        assert doc["columns"] == ["field", "value"]
+        assert [name for name, _ in doc["rows"]] == [name for name, _ in fields]
+        values = dict(doc["rows"])
+        assert values["kind"] == "FiniteTime"
+        assert values["kind_analytic"] == "FiniteTime"
+        assert isinstance(values["t_esd_numeric"], float)
+        assert values["t_esd_numeric"] == float(dict(fields)["t_esd_numeric"])
+
 
 class TestSweepCommand:
     def test_fig3_boundary(self, tmp_path):

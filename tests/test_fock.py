@@ -11,15 +11,15 @@ from gaussesd import (
     StepTooLarge,
     cm_from_params,
     evolve,
+    fock,
 )
 from gaussesd.fock import (
     FockDensityMatrix,
     build_initial_state,
-    default_timestep,
     in_certified_domain,
     integrate,
     lindblad_rhs,
-    liouvillian_matrix,
+    mode_generator,
     moments,
 )
 from conftest import MOMENT_FIELDS, moment_diff
@@ -102,7 +102,7 @@ class TestLindbladRhs:
         assert abs(np.trace(rhs)) < 1e-12
         assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
 
-    def test_matches_vectorized_generator(self, rng):
+    def test_matches_factorized_generator(self, rng):
         cutoff = 6
         d = cutoff * cutoff
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -111,8 +111,14 @@ class TestLindbladRhs:
         fr = FockDensityMatrix(cutoff=cutoff, data=rho)
         ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
         direct = lindblad_rhs(fr, ch)
-        vectorized = (liouvillian_matrix(ch, cutoff) @ rho.reshape(-1)).reshape(d, d)
-        assert np.max(np.abs(direct - vectorized)) < 1e-13
+        # L1 (x) I + I (x) L2 acting on rho regrouped as X[(n1 m1), (n2 m2)]
+        total = np.kron(mode_generator(ch.gamma1, ch.nb1, cutoff), np.eye(d)) + np.kron(
+            np.eye(d), mode_generator(ch.gamma2, ch.nb2, cutoff)
+        )
+        regroup = (cutoff,) * 4
+        v = rho.reshape(regroup).transpose(0, 2, 1, 3).reshape(-1)
+        factorized = (total @ v).reshape(regroup).transpose(0, 2, 1, 3).reshape(d, d)
+        assert np.max(np.abs(direct - factorized)) < 1e-13
 
 
 class TestIntegrate:
@@ -142,10 +148,35 @@ class TestIntegrate:
         rho = integrate(rho0, ch, 8.0)  # gamma t = 2
         assert moment_diff(moments(rho), moments(rho0)) < 1e-8
 
-    def test_oversized_step_rejected(self):
+    def test_inconsistent_split_rejected(self, monkeypatch):
+        # a 1e-4 error in the half-step factors must trip the split gate
+        exact = fock.mode_propagator
+        t = 8.0
+
+        def perturbed(gamma, nb, cutoff, s):
+            e = exact(gamma, nb, cutoff, s)
+            return e * (1.0 + 1e-4) if s < t else e
+
+        monkeypatch.setattr(fock, "mode_propagator", perturbed)
         rho = build_initial_state(GaussianParams.tmsv(0.4), 16)
         with pytest.raises(StepTooLarge):
-            integrate(rho, ChannelParams.symmetric(0.25, 0.5), 8.0, dt=2.0)
+            integrate(rho, ChannelParams.symmetric(0.25, 0.5), t)
+
+    def test_split_invariance(self):
+        p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
+        ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
+        rho = build_initial_state(p, 12, tail_tol=1e-3)
+        whole = integrate(rho, ch, 3.0, tail_tol=1e-3)
+        halves = integrate(integrate(rho, ch, 1.5, tail_tol=1e-3), ch, 1.5, tail_tol=1e-3)
+        assert np.max(np.abs(whole.data - halves.data)) < 1e-12
+
+    def test_short_time_derivative_matches_rhs(self):
+        # ties the exact propagator to the independent reference generator
+        rho = build_initial_state(GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2), 12, tail_tol=1e-3)
+        ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
+        h = 1e-5
+        step = integrate(rho, ch, h, tail_tol=1e-3)
+        assert np.max(np.abs((step.data - rho.data) / h - lindblad_rhs(rho, ch))) < 1e-5
 
     def test_heating_past_cutoff_detected(self):
         # a hot bath drives the truncated state into the tail
@@ -202,10 +233,6 @@ class TestMoments:
 
 
 class TestHelpers:
-    def test_default_timestep_respects_relaxation_scale(self):
-        ch = ChannelParams.symmetric(0.1)
-        assert default_timestep(ch, 20) <= 0.1
-
     def test_certified_domain(self):
         p_in = GaussianParams.symmetric(0.2, 0.4, 0.1)
         p_out = GaussianParams.symmetric(0.2, 2.0, 0.1)
