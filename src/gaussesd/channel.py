@@ -11,14 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidGrid
-from .states import CovarianceMatrix, GaussianParams, cm_from_params, simon_criterion
+from .states import CovarianceMatrix, GaussianParams, _combine, _param_terms, simon_from_moments
 
 __all__ = [
     "ChannelParams",
     "Trajectory",
     "evolve",
     "evolve_cm",
+    "simon_curve",
+    "simon_grid",
     "evolve_symmetric",
     "symmetric_initial_moments",
     "sample_trajectory",
@@ -63,6 +67,29 @@ class Trajectory:
             raise InvalidGrid("trajectory times must be strictly increasing")
 
 
+def _mode_decay(gamma: float, nb: float, t: float) -> tuple[float, float, float]:
+    """(e, k, o) of one mode for states._combine.  Normally
+    k = (exp(2 gamma t) - 1) nb and o = 0; where that overflows, k = -nb and
+    o = nb give the limit form nb + e (X - nb)."""
+    e = math.exp(-2.0 * gamma * t)
+    try:
+        k = (math.exp(2.0 * gamma * t) - 1.0) * nb
+    except OverflowError:
+        k = math.inf
+    if not k < math.inf:
+        return e, -nb, nb
+    return e, k, 0.0
+
+
+def _time_factors(ch: ChannelParams, t: float) -> tuple:
+    """The decay factors of states._combine at time t, from math.exp."""
+    return (
+        *_mode_decay(ch.gamma1, ch.nb1, t),
+        *_mode_decay(ch.gamma2, ch.nb2, t),
+        0.5 * math.exp(-(ch.gamma1 + ch.gamma2) * t),
+    )
+
+
 def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     """Covariance moments at time t >= 0 for initial parameters p0.
 
@@ -72,28 +99,40 @@ def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    e1 = math.exp(-2.0 * ch.gamma1 * t)
-    e2 = math.exp(-2.0 * ch.gamma2 * t)
-    ec = math.exp(-(ch.gamma1 + ch.gamma2) * t)
-    chr2 = math.cosh(p0.r) ** 2
-    shr2 = math.sinh(p0.r) ** 2
-    psum = 1.0 + p0.nu1 + p0.nu2
+    return CovarianceMatrix(*_combine(_param_terms(p0), _time_factors(ch, t)))
 
-    n1 = e1 * (
-        (math.exp(2.0 * ch.gamma1 * t) - 1.0) * ch.nb1
-        + math.cosh(2.0 * p0.z1) * (p0.nu1 * chr2 + (1.0 + p0.nu2) * shr2)
-        + math.sinh(p0.z1) ** 2
-    )
-    n2 = e2 * (
-        (math.exp(2.0 * ch.gamma2 * t) - 1.0) * ch.nb2
-        + math.cosh(2.0 * p0.z2) * (p0.nu2 * chr2 + (1.0 + p0.nu1) * shr2)
-        + math.sinh(p0.z2) ** 2
-    )
-    m1 = -e1 * (p0.nu1 - p0.nu2 + psum * math.cosh(2.0 * p0.r)) * math.cosh(p0.z1) * math.sinh(p0.z1)
-    m2 = -e2 * (p0.nu2 - p0.nu1 + psum * math.cosh(2.0 * p0.r)) * math.cosh(p0.z2) * math.sinh(p0.z2)
-    mc = 0.5 * ec * psum * math.cosh(p0.z1 + p0.z2) * math.sinh(2.0 * p0.r)
-    ms = -0.5 * ec * psum * math.sinh(2.0 * p0.r) * math.sinh(p0.z1 + p0.z2)
-    return CovarianceMatrix(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=mc)
+
+def simon_curve(p0: GaussianParams, ch: ChannelParams):
+    """t -> simon_criterion(evolve(p0, ch, t)), bit for bit, with the
+    per-state terms computed once and no dataclass per call."""
+    terms = _param_terms(p0)
+
+    def s_of(t: float) -> float:
+        s = simon_from_moments(*_combine(terms, _time_factors(ch, t)))
+        if not math.isfinite(s):
+            raise ValueError(f"Simon value is not finite at t={t}")
+        return s
+
+    return s_of
+
+
+def _evolve_grid(states, ch: ChannelParams, times) -> tuple:
+    """The six evolved moments of each state at each time, as arrays of
+    shape (len(states), len(times)), bit for bit equal to :func:`evolve`."""
+    if any(t < 0 for t in times):
+        raise ValueError("times must be >= 0")
+    terms = np.array([_param_terms(p) for p in states]).reshape(-1, 14).T[:, :, None]
+    factors = np.array([_time_factors(ch, t) for t in times]).reshape(-1, 7).T
+    return _combine(terms, factors)
+
+
+def simon_grid(states, ch: ChannelParams, times) -> np.ndarray:
+    """Simon value of each state at each time, shape (len(states),
+    len(times)), bit for bit equal to simon_criterion(evolve(p, ch, t))."""
+    s = simon_from_moments(*_evolve_grid(states, ch, times))
+    if not np.isfinite(s).all():
+        raise ValueError("Simon value is not finite on the grid")
+    return s
 
 
 def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMatrix:
@@ -143,8 +182,9 @@ def sample_trajectory(
     if n_points < 2:
         raise InvalidGrid(f"n_points must be >= 2, got {n_points}")
     times = tuple(t_max * i / (n_points - 1) for i in range(n_points))
-    states = tuple(evolve(p0, ch, t) for t in times)
-    simon = tuple(simon_criterion(cm) for cm in states)
+    moments = _evolve_grid([p0], ch, times)
+    states = tuple(CovarianceMatrix(*row) for row in zip(*(m[0].tolist() for m in moments)))
+    simon = tuple(simon_from_moments(*moments)[0].tolist())
     return Trajectory(times=times, states=states, simon=simon)
 
 

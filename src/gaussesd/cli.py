@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import fock
-from .channel import ChannelParams, evolve, sample_trajectory
-from .config import (
-    OutputSpec,
-    RunConfig,
-    TimeGrid,
-    dump_config,
-    parse_config_file,
-)
+from .channel import ChannelParams, evolve, sample_trajectory, simon_grid
+from .config import OutputSpec, RunConfig, dump_config, parse_config_file
 from .errors import (
     ConfigError,
     CutoffInsufficient,
@@ -30,15 +23,8 @@ from .errors import (
     NonNegligibleImaginaryPart,
     StepTooLarge,
 )
-from .esd import (
-    EsdKind,
-    initial_entanglement_threshold,
-    t_esd_analytic_symmetric,
-    t_esd_numeric,
-)
-from .states import GaussianParams, cm_from_params, simon_criterion
-
-SIGN_TOL = 1e-12
+from .esd import initial_entanglement_threshold, simon_sign, t_esd_analytic_symmetric, t_esd_numeric
+from .states import GaussianParams
 
 MOMENT_FIELDS = ("n1", "n2", "m1", "m2", "ms", "mc")
 
@@ -75,31 +61,13 @@ def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     return "{\n  \"columns\": [" + cols + "],\n  \"rows\": [\n" + body + "\n  ]\n}\n"
 
 
-def _sign(s: float) -> int:
-    return 1 if s > SIGN_TOL else (-1 if s < -SIGN_TOL else 0)
-
-
 def _load_config(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
     if getattr(args, "t_max", None) is not None:
-        cfg = RunConfig(
-            state=cfg.state,
-            channel=cfg.channel,
-            time=TimeGrid(t_max=args.t_max, n_points=cfg.time.n_points),
-            sweep=cfg.sweep,
-            output=cfg.output,
-            oracle=cfg.oracle,
-        )
+        cfg = replace(cfg, time=replace(cfg.time, t_max=args.t_max))
     out_path = args.out if getattr(args, "out", None) else cfg.output.path
     out_fmt = args.format if getattr(args, "format", None) else cfg.output.format
-    return RunConfig(
-        state=cfg.state,
-        channel=cfg.channel,
-        time=cfg.time,
-        sweep=cfg.sweep,
-        output=OutputSpec(path=out_path, format=out_fmt),
-        oracle=cfg.oracle,
-    )
+    return replace(cfg, output=OutputSpec(path=out_path, format=out_fmt))
 
 
 def cmd_evolve(args) -> int:
@@ -156,19 +124,6 @@ def cmd_esd(args) -> int:
     return 0
 
 
-def _sweep_row_task(task):
-    index, variable, value, state, channel, times = task
-    if variable == "z0":
-        p = GaussianParams(z1=value, z2=value, r=state.r, nu1=state.nu1, nu2=state.nu2)
-    else:
-        p = GaussianParams(z1=state.z1, z2=state.z2, r=value, nu1=state.nu1, nu2=state.nu2)
-    rows = []
-    for t in times:
-        s = simon_criterion(evolve(p, channel, t))
-        rows.append([value, t, s, _sign(s)])
-    return index, rows
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if cfg.sweep is None:
@@ -179,33 +134,20 @@ def cmd_sweep(args) -> int:
 
     if sweep.variable == "nu":
         header = ["nu1", "nu2", "S0", "sign"]
-        rows = []
-        for nu1 in values:
-            for nu2 in values:
-                p = GaussianParams(z1=cfg.state.z1, z2=cfg.state.z2, r=cfg.state.r,
-                                   nu1=nu1, nu2=nu2)
-                s = simon_criterion(cm_from_params(p))
-                rows.append([nu1, nu2, s, _sign(s)])
+        states = [replace(cfg.state, nu1=nu1, nu2=nu2) for nu1 in values for nu2 in values]
+        keys, times = [[v for v in values for _ in values], values * len(values)], [0.0]
     elif sweep.variable == "t":
         header = ["t", "S", "sign"]
-        rows = []
-        for t in values:
-            s = simon_criterion(evolve(cfg.state, cfg.channel, t))
-            rows.append([t, s, _sign(s)])
+        states, keys, times = [cfg.state], [values], values
     else:
         header = [sweep.variable, "t", "S", "sign"]
-        tasks = [
-            (i, sweep.variable, value, cfg.state, cfg.channel, times)
-            for i, value in enumerate(values)
-        ]
-        workers = args.workers if args.workers else (os.cpu_count() or 1)
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_row_task, tasks, chunksize=4))
+        if sweep.variable == "z0":
+            states = [replace(cfg.state, z1=v, z2=v) for v in values]
         else:
-            results = [_sweep_row_task(task) for task in tasks]
-        results.sort(key=lambda item: item[0])
-        rows = [row for _, chunk in results for row in chunk]
+            states = [replace(cfg.state, r=v) for v in values]
+        keys = [[v for v in values for _ in times], times * len(values)]
+    s = simon_grid(states, cfg.channel, times).ravel()
+    rows = list(zip(*keys, s.tolist(), simon_sign(s).tolist()))
 
     _write_text(cfg.output.path, _render_table(header, rows, cfg.output.format))
     return 0
@@ -321,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="output path ('-' for stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--workers", type=int, default=0,
-                       help="worker processes for sweeps (default: CPU count)")
+                       help="accepted and ignored; sweeps run in one process")
         p.add_argument("--t-max", type=float, dest="t_max", help="override [time] t_max")
         p.add_argument("--seed", type=int, help="reserved; dynamics are deterministic")
         p.set_defaults(func=func)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, evolve
+from .channel import ChannelParams, simon_curve, simon_grid
 from .errors import BudgetExceeded, DomainError, InvalidGrid
-from .states import GaussianParams, simon_criterion
+from .states import GaussianParams
 
 __all__ = [
     "EsdKind",
@@ -34,12 +34,18 @@ __all__ = [
     "t_esd_numeric",
     "initial_entanglement_threshold",
     "esd_boundary_sweep",
+    "simon_sign",
 ]
 
 # Simon values inside this band around zero are numerically indistinguishable
 # from zero (cancellation noise of the invariant combination) and are never
 # treated as sign information.
 SIGN_TOL = 1e-12
+
+
+def simon_sign(s):
+    """Elementwise Simon sign: -1 entangled, +1 separable, 0 inside the dead band."""
+    return np.where(s > SIGN_TOL, 1, np.where(s < -SIGN_TOL, -1, 0))
 
 
 class EsdKind(enum.Enum):
@@ -177,8 +183,7 @@ def t_esd_numeric(
     if not t_max > 0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
 
-    def s_of(t: float) -> float:
-        return simon_criterion(evolve(p0, ch, t))
+    s_of = simon_curve(p0, ch)
 
     s0 = s_of(0.0)
     if s0 >= 0.0:
@@ -269,10 +274,5 @@ def esd_boundary_sweep(r0: float, ch: ChannelParams, z_grid, t_grid) -> np.ndarr
     if np.any(t_grid < 0):
         raise InvalidGrid("times must be >= 0")
 
-    signs = np.zeros((z_grid.size, t_grid.size), dtype=int)
-    for i, z in enumerate(z_grid):
-        p0 = GaussianParams.symmetric(float(z), r0)
-        for j, t in enumerate(t_grid):
-            s = simon_criterion(evolve(p0, ch, float(t)))
-            signs[i, j] = 1 if s > SIGN_TOL else (-1 if s < -SIGN_TOL else 0)
-    return signs
+    states = [GaussianParams.symmetric(z, r0) for z in z_grid.tolist()]
+    return simon_sign(simon_grid(states, ch, t_grid.tolist()))

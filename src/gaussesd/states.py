@@ -29,6 +29,7 @@ __all__ = [
     "params_from_cm",
     "invariants",
     "simon_criterion",
+    "simon_from_moments",
     "simon_criterion_no_squeezing",
     "locally_squeezed",
     "two_mode_squeezed",
@@ -133,58 +134,47 @@ class SymplecticInvariants:
     iv: float
 
 
-# 2x2 matrices as nested tuples keep invariants() allocation-free and fast
-# enough for dense parameter scans.
-def _mm2(x, y):
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
+def _local_invariants(n1, n2, m1, m2, ms, mc):
+    """i1..i4 from the moments, elementwise on floats or broadcastable arrays.
 
-
-def _det4(m) -> float:
-    out = 0.0
-    for j in range(4):
-        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        det3 = (
-            minor[0][0] * (minor[1][1] * minor[2][2] - minor[1][2] * minor[2][1])
-            - minor[0][1] * (minor[1][0] * minor[2][2] - minor[1][2] * minor[2][0])
-            + minor[0][2] * (minor[1][0] * minor[2][1] - minor[1][1] * minor[2][0])
-        )
-        out += (-1.0) ** j * m[0][j] * det3
-    return out
+    i4 = tr[V1 Z C Z V2 Z C Z] is expanded: with P = V1 Z C Z and Q = V2 Z C Z
+    both of the form ((x, y), (y, x)), the trace is 2 (p0 q0 + p1 q1).
+    """
+    a = n1 + 0.5
+    b = n2 + 0.5
+    p0 = a * ms - m1 * mc
+    p1 = m1 * ms - a * mc
+    q0 = b * ms - m2 * mc
+    q1 = m2 * ms - b * mc
+    return a * a - m1 * m1, b * b - m2 * m2, ms * ms - mc * mc, 2.0 * (p0 * q0 + p1 * q1)
 
 
 def invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     """Compute the five local-unitary invariants of a covariance matrix.
 
-    i4 is evaluated literally as the trace of the matrix product
-    V1 Z C Z V2 Z C' Z with Z = diag(1, -1); iv as the determinant of the
-    assembled 4x4 matrix.
+    iv is the determinant of the 4x4 matrix: every 2x2 block has the form
+    ((x, y), (y, x)), so the rotation to (x + y, x - y) splits it into two
+    2x2 determinants.
     """
     a = cm.n1 + 0.5
     b = cm.n2 + 0.5
-    v1 = ((a, cm.m1), (cm.m1, a))
-    v2 = ((b, cm.m2), (cm.m2, b))
-    c = ((cm.ms, cm.mc), (cm.mc, cm.ms))
-    z = ((1.0, 0.0), (0.0, -1.0))
-
-    i1 = a * a - cm.m1 * cm.m1
-    i2 = b * b - cm.m2 * cm.m2
-    i3 = cm.ms * cm.ms - cm.mc * cm.mc
-
-    # C is real symmetric here, so C' = C.
-    zcz = _mm2(_mm2(z, c), z)
-    prod = _mm2(_mm2(v1, zcz), _mm2(v2, zcz))
-    i4 = prod[0][0] + prod[1][1]
-
-    full = (
-        (a, cm.m1, cm.ms, cm.mc),
-        (cm.m1, a, cm.mc, cm.ms),
-        (cm.ms, cm.mc, b, cm.m2),
-        (cm.mc, cm.ms, cm.m2, b),
+    iv = ((a + cm.m1) * (b + cm.m2) - (cm.ms + cm.mc) ** 2) * (
+        (a - cm.m1) * (b - cm.m2) - (cm.ms - cm.mc) ** 2
     )
-    return SymplecticInvariants(i1=i1, i2=i2, i3=i3, i4=i4, iv=_det4(full))
+    return SymplecticInvariants(*_local_invariants(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc), iv)
+
+
+def _square(x):
+    # libm pow, as float ** 2 computes it; ndarray ** 2 multiplies instead,
+    # which differs in the last bit on about 0.1% of inputs
+    return x ** 2 if type(x) is float else np.float_power(x, 2.0)
+
+
+def simon_from_moments(n1, n2, m1, m2, ms, mc):
+    """Simon value from the six moments, elementwise on floats or on
+    broadcastable arrays, bit for bit the same either way."""
+    i1, i2, i3, i4 = _local_invariants(n1, n2, m1, m2, ms, mc)
+    return i1 * i2 + _square(0.25 - abs(i3)) - i4 - 0.25 * (i1 + i2)
 
 
 def simon_criterion(cm: CovarianceMatrix) -> float:
@@ -195,8 +185,7 @@ def simon_criterion(cm: CovarianceMatrix) -> float:
     S >= 0 means separable; S < 0 means entangled (necessary and sufficient
     for two-mode Gaussian states).
     """
-    inv = invariants(cm)
-    return inv.i1 * inv.i2 + (0.25 - abs(inv.i3)) ** 2 - inv.i4 - 0.25 * (inv.i1 + inv.i2)
+    return simon_from_moments(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc)
 
 
 def simon_criterion_no_squeezing(n1: float, n2: float, mc: float) -> float:
@@ -213,21 +202,40 @@ def simon_criterion_no_squeezing(n1: float, n2: float, mc: float) -> float:
     return w1 * w2 - mc * mc
 
 
-def cm_from_params(p: GaussianParams) -> CovarianceMatrix:
-    """Forward map from state parameters to the six second moments."""
-    ch2z1 = math.cosh(2.0 * p.z1)
-    ch2z2 = math.cosh(2.0 * p.z2)
+def _param_terms(p: GaussianParams) -> tuple:
+    """Per-state factors of the closed-form moments, grouped by moment
+    (math.cosh/sinh, so that every caller gets the same bits)."""
     chr2 = math.cosh(p.r) ** 2
     shr2 = math.sinh(p.r) ** 2
     psum = 1.0 + p.nu1 + p.nu2
+    ch2r = math.cosh(2.0 * p.r)
+    return (
+        math.cosh(2.0 * p.z1) * (p.nu1 * chr2 + (1.0 + p.nu2) * shr2), math.sinh(p.z1) ** 2,
+        math.cosh(2.0 * p.z2) * (p.nu2 * chr2 + (1.0 + p.nu1) * shr2), math.sinh(p.z2) ** 2,
+        p.nu1 - p.nu2 + psum * ch2r, math.cosh(p.z1), math.sinh(p.z1),
+        p.nu2 - p.nu1 + psum * ch2r, math.cosh(p.z2), math.sinh(p.z2),
+        psum, math.cosh(p.z1 + p.z2), math.sinh(p.z1 + p.z2), math.sinh(2.0 * p.r),
+    )
 
-    n1 = ch2z1 * (p.nu1 * chr2 + (1.0 + p.nu2) * shr2) + math.sinh(p.z1) ** 2
-    n2 = ch2z2 * (p.nu2 * chr2 + (1.0 + p.nu1) * shr2) + math.sinh(p.z2) ** 2
-    m1 = -(p.nu1 - p.nu2 + psum * math.cosh(2.0 * p.r)) * math.cosh(p.z1) * math.sinh(p.z1)
-    m2 = -(p.nu2 - p.nu1 + psum * math.cosh(2.0 * p.r)) * math.cosh(p.z2) * math.sinh(p.z2)
-    mc = 0.5 * psum * math.cosh(p.z1 + p.z2) * math.sinh(2.0 * p.r)
-    ms = -0.5 * psum * math.sinh(2.0 * p.r) * math.sinh(p.z1 + p.z2)
-    return CovarianceMatrix(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=mc)
+
+def _combine(terms, decay) -> tuple:
+    """(n1, n2, m1, m2, ms, mc) from per-state terms and the channel's decay
+    factors (e1, k1, o1, e2, k2, o2, h); elementwise, so (S, 1) terms and (T,)
+    factors give (S, T) moments.  The grouping of every sum and product is
+    fixed, so scalar and array callers get the same bits."""
+    a1, b1, a2, b2, y1, c1, s1, y2, c2, s2, psum, cz, sz, s2r = terms
+    e1, k1, o1, e2, k2, o2, h = decay
+    return (
+        e1 * ((k1 + a1) + b1) + o1, e2 * ((k2 + a2) + b2) + o2,
+        -e1 * y1 * c1 * s1, -e2 * y2 * c2 * s2,
+        -h * psum * s2r * sz, h * psum * cz * s2r,
+    )
+
+
+def cm_from_params(p: GaussianParams) -> CovarianceMatrix:
+    """Forward map from state parameters to the six second moments: the
+    closed form of the channel at t = 0."""
+    return CovarianceMatrix(*_combine(_param_terms(p), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5)))
 
 
 def _locally_squeezed_raw(n1, n2, m1, m2, ms, mc, s1, s2):

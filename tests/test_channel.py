@@ -16,6 +16,8 @@ from gaussesd import (
     evolve_symmetric,
     sample_trajectory,
     simon_criterion,
+    simon_curve,
+    simon_grid,
     symmetric_initial_moments,
 )
 from conftest import MOMENT_FIELDS, moment_diff
@@ -38,7 +40,38 @@ def random_setup(rng):
     return p, ch
 
 
+def literal_closed_form(p, ch, t):
+    """The closed form written out term by term, the reference for the
+    factorized evaluation (same grouping, so the same bits)."""
+    e1, e2 = math.exp(-2.0 * ch.gamma1 * t), math.exp(-2.0 * ch.gamma2 * t)
+    ec = math.exp(-(ch.gamma1 + ch.gamma2) * t)
+    chr2, shr2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
+    psum = 1.0 + p.nu1 + p.nu2
+    return CovarianceMatrix(
+        n1=e1 * ((math.exp(2.0 * ch.gamma1 * t) - 1.0) * ch.nb1
+                 + math.cosh(2.0 * p.z1) * (p.nu1 * chr2 + (1.0 + p.nu2) * shr2)
+                 + math.sinh(p.z1) ** 2),
+        n2=e2 * ((math.exp(2.0 * ch.gamma2 * t) - 1.0) * ch.nb2
+                 + math.cosh(2.0 * p.z2) * (p.nu2 * chr2 + (1.0 + p.nu1) * shr2)
+                 + math.sinh(p.z2) ** 2),
+        m1=-e1 * (p.nu1 - p.nu2 + psum * math.cosh(2.0 * p.r)) * math.cosh(p.z1) * math.sinh(p.z1),
+        m2=-e2 * (p.nu2 - p.nu1 + psum * math.cosh(2.0 * p.r)) * math.cosh(p.z2) * math.sinh(p.z2),
+        ms=-0.5 * ec * psum * math.sinh(2.0 * p.r) * math.sinh(p.z1 + p.z2),
+        mc=0.5 * ec * psum * math.cosh(p.z1 + p.z2) * math.sinh(2.0 * p.r),
+    )
+
+
 class TestEvolve:
+    def test_matches_literal_closed_form_bitwise(self, rng):
+        for _ in range(500):
+            p, ch = random_setup(rng)
+            ch = ChannelParams(ch.gamma1, ch.gamma2, 3.0 * ch.nb1, 3.0 * ch.nb2)
+            t = float(rng.choice([0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 300.0)]))
+            assert evolve(p, ch, t) == literal_closed_form(p, ch, t)
+        for _ in range(100):
+            p, _ = random_setup(rng)
+            assert cm_from_params(p) == literal_closed_form(p, ChannelParams.symmetric(1.0), 0.0)
+
     def test_t_zero_matches_initial_moments(self, rng):
         for _ in range(50):
             p, ch = random_setup(rng)
@@ -176,6 +209,14 @@ class TestTrajectory:
         assert count_sign_changes(long.simon) == 0
         assert not any(s > 1e-12 for s in long.simon)
 
+    def test_matches_pointwise_evolve(self, rng):
+        for _ in range(10):
+            p, ch = random_setup(rng)
+            traj = sample_trajectory(p, ch, float(rng.uniform(1.0, 60.0)), 97)
+            want = [evolve(p, ch, t) for t in traj.times]
+            assert traj.states == tuple(want)
+            assert traj.simon == tuple(simon_criterion(cm) for cm in want)
+
     def test_invalid_grids(self):
         p, ch = GaussianParams.tmsv(0.5), ChannelParams.symmetric(0.1)
         with pytest.raises(InvalidGrid):
@@ -189,6 +230,52 @@ class TestTrajectory:
             Trajectory(times=(0.0, 1.0), states=(cm,), simon=(0.0,))
         with pytest.raises(InvalidGrid):
             Trajectory(times=(0.0, 0.0), states=(cm, cm), simon=(0.0, 0.0))
+
+
+class TestSimonGrid:
+    """The (state x time) evaluation against per-cell scalar calls, bit for
+    bit."""
+
+    def test_matches_per_cell_scalar_calls(self, rng):
+        for _ in range(5):
+            _, ch = random_setup(rng)
+            states = [random_setup(rng)[0] for _ in range(7)]
+            times = np.sort(rng.uniform(0.0, 80.0, 13)).tolist()
+            grid = simon_grid(states, ch, times)
+            assert grid.shape == (7, 13)
+            want = [[simon_criterion(evolve(p, ch, t)) for t in times] for p in states]
+            assert np.array_equal(grid, want)
+            curve = simon_curve(states[0], ch)
+            assert [curve(t) for t in times] == want[0]
+
+    def test_t_zero_is_the_initial_simon_value(self, rng):
+        states = [random_setup(rng)[0] for _ in range(20)]
+        got = simon_grid(states, ChannelParams(0.3, 0.2, 0.5, 0.1), [0.0])[:, 0]
+        assert got.tolist() == [simon_criterion(cm_from_params(p)) for p in states]
+
+    def test_rejects_negative_times(self):
+        with pytest.raises(ValueError):
+            simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, -1.0])
+
+
+class TestLongTimes:
+    """exp(2 gamma t) overflows a double above 2 gamma t = 709.78; the
+    occupations then take the limit form nb + e (X - nb)."""
+
+    def test_tmsv_relaxes_to_the_bath_past_the_overflow(self):
+        late = evolve(GaussianParams.tmsv(1.0), ChannelParams.symmetric(1.0, 0.1), 400.0)
+        assert late == CovarianceMatrix(0.1, 0.1, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("gamma_t", [354.0, 354.6, 354.8, 354.9, 360.0, 1e6, math.inf])
+    def test_occupation_continuous_across_the_overflow(self, gamma_t):
+        # nb = 2 also overflows the product (exp(2 gamma t) - 1) nb first
+        ch = ChannelParams(1.0, 0.5, 2.0, 0.3)
+        cm = evolve(GaussianParams(0.4, -0.2, 0.8, 0.5, 0.1), ch, gamma_t)
+        assert cm.n1 == pytest.approx(2.0, abs=1e-12)
+        assert cm.n2 == pytest.approx(0.3, abs=1e-12)
+        assert max(abs(cm.m1), abs(cm.m2), abs(cm.ms), abs(cm.mc)) < 1e-100
+        grid = simon_grid([GaussianParams(0.4, -0.2, 0.8, 0.5, 0.1)], ch, [gamma_t])
+        assert grid[0, 0] == simon_criterion(cm)
 
 
 class TestSignCounting:

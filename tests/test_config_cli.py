@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gaussesd import ConfigError
+from gaussesd import ChannelParams, ConfigError, GaussianParams, evolve, simon_criterion
 from gaussesd.cli import main
 from gaussesd.config import (
     OutputSpec,
@@ -17,6 +18,8 @@ from gaussesd.config import (
 )
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
+# sha256 of each recipe's stdout, recorded with the benchmark
+RECIPE_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "recipe_digests.json"
 
 EXPECTED_RECIPES = [
     "fig1-gray.cfg",
@@ -277,6 +280,31 @@ class TestSweepCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("variable", ["t", "r0"])
+    def test_rows_match_per_cell_scalar_calls(self, tmp_path, variable):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[state]\nz1 = 0.7\nz2 = 0.2\nr = 0.9\nnu1 = 0.1\n"
+            "[channel]\ngamma1 = 0.1\ngamma2 = 0.25\nnb1 = 0.3\n"
+            "[time]\nt_max = 40\nn_points = 9\n"
+            f"[sweep]\nvariable = {variable}\nlo = 0.1\nhi = 30\nsteps = 11\n"
+        )
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        values = [0.1 + (30.0 - 0.1) * i / 10 for i in range(11)]
+        if variable == "t":
+            cells = [(t, GaussianParams(0.7, 0.2, 0.9, 0.1), t) for t in values]
+        else:
+            cells = [(r, GaussianParams(0.7, 0.2, r, 0.1), 40.0 * j / 8)
+                     for r in values for j in range(9)]
+        want = []
+        for key, p, t in cells:
+            s = simon_criterion(evolve(p, ChannelParams(0.1, 0.25, 0.3), t))
+            sign = 1 if s > 1e-12 else (-1 if s < -1e-12 else 0)
+            cols = [key] if variable == "t" else [key, t]
+            want.append(",".join([format(x, ".12g") for x in cols + [s]] + [str(sign)]))
+        assert out.read_text().splitlines()[1:] == want
+
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "nosweep.cfg"
         cfg.write_text("[state]\nr = 1\n")
@@ -292,6 +320,15 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(cfg), "--workers", "1",
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+
+class TestRecipeBytes:
+    @pytest.mark.parametrize("name", sorted(json.loads(RECIPE_DIGESTS.read_text())))
+    def test_stdout_matches_recorded_digest(self, name, capsys):
+        sub = {"fig1": "evolve", "fig2": "esd", "fig3": "sweep", "fig4": "sweep"}
+        assert main([sub[name.split("-")[0]], "--config", str(RECIPES / f"{name}.cfg")]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == json.loads(RECIPE_DIGESTS.read_text())[name]
 
 
 class TestOracleCheckCommand:

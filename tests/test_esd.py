@@ -18,6 +18,7 @@ from gaussesd import (
     esd_condition_symmetric,
     initial_entanglement_threshold,
     simon_criterion,
+    simon_sign,
     symmetric_esd_decay_ratio,
     symmetric_esd_decay_ratio_alt,
     t_esd_analytic_symmetric,
@@ -163,6 +164,12 @@ class TestNumericRoot:
             assert num.kind is EsdKind.FINITE_TIME
             assert abs(num.t_esd - ana.t_esd) / ana.t_esd < 1e-6
 
+    def test_scan_past_the_exp_overflow_is_asymptotic(self):
+        # the scan reaches 2 gamma t = 1000, where exp(2 gamma t) overflows
+        res = t_esd_numeric(GaussianParams.symmetric(0.0, 1.0), ChannelParams.symmetric(0.1), 5000.0)
+        assert res.kind is EsdKind.ASYMPTOTIC
+        assert res.diagnostics["s_at_t_max"] == 0.0
+
     def test_initially_separable(self):
         # threshold for nu = (1, 1) is ~0.549 > 0.3
         res = t_esd_numeric(
@@ -230,6 +237,10 @@ class TestInitialEntanglementThreshold:
             initial_entanglement_threshold(-0.5, 0.0)
 
 
+def sign_of(s: float) -> int:
+    return 1 if s > 1e-12 else (-1 if s < -1e-12 else 0)
+
+
 class TestBoundarySweep:
     def test_boundary_location(self):
         ch = ChannelParams.symmetric(0.1)
@@ -253,6 +264,23 @@ class TestBoundarySweep:
         flips = [i for i in range(1, len(signs)) if signs[i - 1] == -1 and signs[i] == 1]
         assert len(flips) == 1
         assert t_grid[flips[0] - 1] <= T_ESD_Z2_R1_G01 <= t_grid[flips[0]]
+
+    @pytest.mark.parametrize("ch", [ChannelParams.symmetric(0.1),
+                                    ChannelParams(0.07, 0.19, 0.3, 0.05)])
+    def test_matches_per_cell_signs(self, ch):
+        # zero temperature, then a heated grid with unequal rates
+        z_grid = np.linspace(0.0, 3.5, 23)
+        t_grid = np.linspace(0.0, 60.0, 31)
+        signs = esd_boundary_sweep(1.0, ch, z_grid, t_grid)
+        want = [[sign_of(simon_criterion(evolve(GaussianParams.symmetric(z, 1.0), ch, t)))
+                 for t in t_grid] for z in z_grid]
+        assert signs.dtype == int
+        assert np.array_equal(signs, want)
+        assert {-1, 1} <= set(signs.ravel().tolist())
+
+    def test_sign_rule_dead_band(self):
+        s = np.array([-1.0, -2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12, 1.0])
+        assert simon_sign(s).tolist() == [-1, -1, 0, 0, 0, 0, 0, 1, 1]
 
     def test_invalid_grids(self):
         ch = ChannelParams.symmetric(0.1)

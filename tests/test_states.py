@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussesd import (
     CovarianceMatrix,
@@ -13,9 +15,10 @@ from gaussesd import (
     locally_squeezed,
     params_from_cm,
     simon_criterion,
+    simon_from_moments,
     two_mode_squeezed,
 )
-from conftest import moment_diff, param_diff
+from conftest import MOMENT_FIELDS, moment_diff, param_diff
 
 # Six moments of S1 S2 sigma(0.1, 0.1) S2' S1' with z1 = z2 = 0.3, r = 0.5,
 # measured in a truncated Fock basis (cutoff 24, tail < 4e-6); independent of
@@ -284,6 +287,63 @@ class TestSimonCriterion:
             nu_min = np.sort(np.abs(np.linalg.eigvals(1j * omega @ (flip @ quad @ flip))))[0]
             if abs(s) > 1e-9 and abs(nu_min - 0.5) > 1e-9:
                 assert (s < 0) == (nu_min < 0.5)
+
+
+def literal_simon(cm):
+    """S with i4 = tr[V1 Z C Z V2 Z C Z] as explicit 2x2 matrix products."""
+    def mm(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+    a, b = cm.n1 + 0.5, cm.n2 + 0.5
+    z = [[1.0, 0.0], [0.0, -1.0]]
+    zcz = mm(mm(z, [[cm.ms, cm.mc], [cm.mc, cm.ms]]), z)
+    prod = mm(mm([[a, cm.m1], [cm.m1, a]], zcz), mm([[b, cm.m2], [cm.m2, b]], zcz))
+    i1, i2 = a * a - cm.m1 * cm.m1, b * b - cm.m2 * cm.m2
+    i3 = cm.ms * cm.ms - cm.mc * cm.mc
+    return i1 * i2 + (0.25 - abs(i3)) ** 2 - (prod[0][0] + prod[1][1]) - 0.25 * (i1 + i2)
+
+
+def moment_arrays(cms):
+    return [np.array([getattr(cm, f) for cm in cms]) for f in MOMENT_FIELDS]
+
+
+class TestSimonKernel:
+    """The elementwise kernel on arrays against the scalar Simon value, bit
+    for bit."""
+
+    def test_arrays_match_scalar_on_random_states(self, rng):
+        cms = [cm_from_params(p) for p in random_params(rng, 2000)]
+        # moments with independently flipped signs leave the parameterized family
+        for cm in cms[:500]:
+            f = rng.choice([-1.0, 1.0], 4)
+            cms.append(CovarianceMatrix(cm.n1, cm.n2, f[0] * cm.m1, f[1] * cm.m2,
+                                        f[2] * cm.ms, f[3] * cm.mc))
+        got = simon_from_moments(*moment_arrays(cms))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [simon_criterion(cm) for cm in cms])
+        assert np.array_equal(got, [literal_simon(cm) for cm in cms])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(*[st.floats(-3.0, 3.0)] * 3, *[st.floats(0.0, 5.0)] * 2),
+        min_size=1, max_size=12,
+    ))
+    def test_arrays_match_scalar_property(self, params):
+        cms = [cm_from_params(GaussianParams(*p)) for p in params]
+        got = simon_from_moments(*moment_arrays(cms))
+        assert np.array_equal(got, [simon_criterion(cm) for cm in cms])
+
+    def test_broadcasts_over_a_grid(self, rng):
+        cms = [cm_from_params(p) for p in random_params(rng, 6)]
+        n1, n2, m1, m2, ms, mc = moment_arrays(cms)
+        scale = rng.uniform(0.0, 1.0, 5)
+        got = simon_from_moments(n1[:, None] * scale, n2[:, None] * scale, m1[:, None] * scale,
+                                 m2[:, None] * scale, ms[:, None] * scale, mc[:, None] * scale)
+        assert got.shape == (6, 5)
+        for i, cm in enumerate(cms):
+            for j, f in enumerate(scale):
+                want = simon_criterion(CovarianceMatrix(*(getattr(cm, k) * f for k in MOMENT_FIELDS)))
+                assert got[i, j] == want
 
 
 class TestTypes:
