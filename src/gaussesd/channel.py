@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGrid
-from .states import CovarianceMatrix, GaussianParams, _combine, _param_terms, simon_from_moments
+from .states import (
+    CovarianceMatrix,
+    GaussianParams,
+    _combine,
+    _param_terms,
+    _require_finite,
+    simon_from_moments,
+)
 
 __all__ = [
     "ChannelParams",
@@ -32,8 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Reservoir couplings: dissipation rates gamma_i > 0 (inverse time) and
-    bath thermal occupations nb_i >= 0."""
+    """Reservoir couplings: finite dissipation rates gamma_i > 0 (inverse
+    time) and finite bath thermal occupations nb_i >= 0."""
 
     gamma1: float
     gamma2: float
@@ -41,6 +48,8 @@ class ChannelParams:
     nb2: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma1", "gamma2", "nb1", "nb2"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not (self.gamma1 > 0 and self.gamma2 > 0):
             raise ValueError(f"dissipation rates must be > 0, got {self.gamma1}, {self.gamma2}")
         if self.nb1 < 0 or self.nb2 < 0:

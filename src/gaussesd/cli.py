@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import fock
 from .channel import ChannelParams, evolve, sample_trajectory, simon_grid
-from .config import OutputSpec, RunConfig, dump_config, parse_config_file
+from .config import OutputSpec, RunConfig, dump_config, finite_float, parse_config_file
 from .errors import (
     ConfigError,
     CutoffInsufficient,
@@ -63,11 +63,10 @@ def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
-    if getattr(args, "t_max", None) is not None:
+    if args.t_max is not None:
         cfg = replace(cfg, time=replace(cfg.time, t_max=args.t_max))
-    out_path = args.out if getattr(args, "out", None) else cfg.output.path
-    out_fmt = args.format if getattr(args, "format", None) else cfg.output.format
-    return replace(cfg, output=OutputSpec(path=out_path, format=out_fmt))
+    output = OutputSpec(path=args.out or cfg.output.path, format=args.format or cfg.output.format)
+    return replace(cfg, output=output)
 
 
 def cmd_evolve(args) -> int:
@@ -239,8 +238,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_dump_config(args) -> int:
     cfg = _load_config(args)
-    text = dump_config(cfg)
-    _write_text(cfg.output.path if cfg.output.path != "-" else "-", text)
+    _write_text(cfg.output.path, dump_config(cfg))
     return 0
 
 
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--workers", type=int, default=0,
                        help="accepted and ignored; sweeps run in one process")
-        p.add_argument("--t-max", type=float, dest="t_max", help="override [time] t_max")
+        p.add_argument("--t-max", type=finite_float, dest="t_max", help="override [time] t_max")
         p.add_argument("--seed", type=int, help="reserved; dynamics are deterministic")
         p.set_defaults(func=func)
     return parser

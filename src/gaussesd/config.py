@@ -1,20 +1,25 @@
 """Run configuration: a plain key-value text format with nested sections
 (INI dialect).  Every physics default is explicit in the dumped form, so a
 dumped config re-parses to an equivalent run.
+
+The section dataclasses are the only schema.  Their fields give the keys,
+``RunConfig()`` gives the defaults, and each field's type picks the converter
+that parses its value and the formatter that dumps it, so adding a key is
+adding one dataclass field.  Field order is dump order.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
 from .errors import ConfigError
 from .states import GaussianParams
 
 __all__ = ["TimeGrid", "SweepSpec", "OutputSpec", "OracleSpec", "RunConfig",
-           "parse_config", "parse_config_file", "dump_config"]
+           "finite_float", "parse_config", "parse_config_file", "dump_config"]
 
 SWEEP_VARIABLES = ("z0", "r0", "nu", "t")
 OUTPUT_FORMATS = ("csv", "json")
@@ -88,24 +93,29 @@ class RunConfig:
     oracle: OracleSpec = field(default_factory=OracleSpec)
 
 
-_SCHEMA = {
-    "state": ("z1", "z2", "r", "nu1", "nu2"),
-    "channel": ("gamma1", "gamma2", "nb1", "nb2"),
-    "time": ("t_max", "n_points"),
-    "sweep": ("variable", "lo", "hi", "steps"),
-    "output": ("path", "format"),
-    "oracle": ("cutoff", "dt", "times"),
-}
+# A section whose RunConfig() default is None has every key required.
+_SECTIONS = {"state": GaussianParams, "channel": ChannelParams, "time": TimeGrid,
+             "sweep": SweepSpec, "output": OutputSpec, "oracle": OracleSpec}
 
 
-def _get(parser, section, option, conv, default):
-    if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {option}: cannot parse {raw!r}: {exc}") from exc
+def finite_float(raw: str) -> float:
+    """The converter of every float key (and of ``--t-max``)."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
+
+
+def _fmt_num(x: float) -> str:
+    return format(float(x), ".12g")
+
+
+# Converters and formatters keyed on the field annotation, which is a string
+# because every module that defines a section uses postponed annotations.
+_PARSE = {"float": finite_float, "int": int, "str": str.strip,
+          "tuple[float, ...]": lambda raw: tuple(map(finite_float, raw.replace(",", " ").split()))}
+_FORMAT = {"float": _fmt_num, "int": str, "str": str,
+           "tuple[float, ...]": lambda values: ", ".join(map(_fmt_num, values))}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -119,62 +129,35 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{source}: unknown section [{section}]")
-        for option in parser.options(section):
-            if option not in _SCHEMA[section]:
-                raise ConfigError(f"{source}: unknown key {option!r} in section [{section}]")
+        keys = {f.name for f in fields(_SECTIONS[section])}
+        unknown = [option for option in parser.options(section) if option not in keys]
+        if unknown:
+            raise ConfigError(f"{source}: unknown key {unknown[0]!r} in section [{section}]")
 
-    try:
-        state = GaussianParams(
-            z1=_get(parser, "state", "z1", float, 0.0),
-            z2=_get(parser, "state", "z2", float, 0.0),
-            r=_get(parser, "state", "r", float, 0.0),
-            nu1=_get(parser, "state", "nu1", float, 0.0),
-            nu2=_get(parser, "state", "nu2", float, 0.0),
-        )
-        channel = ChannelParams(
-            gamma1=_get(parser, "channel", "gamma1", float, 0.1),
-            gamma2=_get(parser, "channel", "gamma2", float, 0.1),
-            nb1=_get(parser, "channel", "nb1", float, 0.0),
-            nb2=_get(parser, "channel", "nb2", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
-    time = TimeGrid(
-        t_max=_get(parser, "time", "t_max", float, 30.0),
-        n_points=_get(parser, "time", "n_points", int, 301),
-    )
-
-    sweep = None
-    if parser.has_section("sweep"):
-        for key in ("variable", "lo", "hi", "steps"):
-            if not parser.has_option("sweep", key):
-                raise ConfigError(f"{source}: [sweep] missing required key {key!r}")
-        sweep = SweepSpec(
-            variable=parser.get("sweep", "variable").strip(),
-            lo=_get(parser, "sweep", "lo", float, None),
-            hi=_get(parser, "sweep", "hi", float, None),
-            steps=_get(parser, "sweep", "steps", int, None),
-        )
-
-    output = OutputSpec(
-        path=_get(parser, "output", "path", str, "-"),
-        format=_get(parser, "output", "format", lambda s: s.strip(), "csv"),
-    )
-
-    def _times(raw: str) -> tuple[float, ...]:
-        items = [s for s in raw.replace(",", " ").split() if s]
-        return tuple(float(s) for s in items)
-
-    oracle = OracleSpec(
-        cutoff=_get(parser, "oracle", "cutoff", int, 20),
-        dt=_get(parser, "oracle", "dt", float, 0.0),
-        times=_get(parser, "oracle", "times", _times, ()),
-    )
-    return RunConfig(state=state, channel=channel, time=time, sweep=sweep,
-                     output=output, oracle=oracle)
+    defaults, sections = RunConfig(), {}
+    for section, cls in _SECTIONS.items():
+        default = getattr(defaults, section)
+        if not parser.has_section(section):
+            sections[section] = default
+            continue
+        missing = [f.name for f in fields(cls) if not parser.has_option(section, f.name)]
+        if default is None and missing:
+            raise ConfigError(f"{source}: [{section}] missing required key {missing[0]!r}")
+        values = {}
+        for f in fields(cls):
+            if f.name not in missing:
+                raw = parser.get(section, f.name)
+                try:
+                    values[f.name] = _PARSE[f.type](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {f.name}: cannot parse {raw!r}: {exc}") from exc
+        try:
+            sections[section] = cls(**values) if default is None else replace(default, **values)
+        except ValueError as exc:  # GaussianParams and ChannelParams raise ValueError
+            raise ConfigError(f"{source}: {exc}") from exc
+    return RunConfig(**sections)
 
 
 def parse_config_file(path: str) -> RunConfig:
@@ -186,34 +169,15 @@ def parse_config_file(path: str) -> RunConfig:
     return parse_config(text, source=path)
 
 
-def _fmt_num(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def dump_config(cfg: RunConfig) -> str:
     """Render a configuration with every default explicit.  The result
-    re-parses to an equivalent RunConfig."""
-    out = io.StringIO()
-    out.write("[state]\n")
-    for key in ("z1", "z2", "r", "nu1", "nu2"):
-        out.write(f"{key} = {_fmt_num(getattr(cfg.state, key))}\n")
-    out.write("\n[channel]\n")
-    for key in ("gamma1", "gamma2", "nb1", "nb2"):
-        out.write(f"{key} = {_fmt_num(getattr(cfg.channel, key))}\n")
-    out.write("\n[time]\n")
-    out.write(f"t_max = {_fmt_num(cfg.time.t_max)}\n")
-    out.write(f"n_points = {cfg.time.n_points}\n")
-    if cfg.sweep is not None:
-        out.write("\n[sweep]\n")
-        out.write(f"variable = {cfg.sweep.variable}\n")
-        out.write(f"lo = {_fmt_num(cfg.sweep.lo)}\n")
-        out.write(f"hi = {_fmt_num(cfg.sweep.hi)}\n")
-        out.write(f"steps = {cfg.sweep.steps}\n")
-    out.write("\n[output]\n")
-    out.write(f"path = {cfg.output.path}\n")
-    out.write(f"format = {cfg.output.format}\n")
-    out.write("\n[oracle]\n")
-    out.write(f"cutoff = {cfg.oracle.cutoff}\n")
-    out.write(f"dt = {_fmt_num(cfg.oracle.dt)}\n")
-    out.write(f"times = {', '.join(_fmt_num(t) for t in cfg.oracle.times)}\n")
-    return out.getvalue()
+    re-parses to an equivalent RunConfig.  Sections and keys come out in
+    _SECTIONS and field order, so reordering a dataclass's fields changes the
+    dumped bytes."""
+    blocks = []
+    for section, cls in _SECTIONS.items():
+        spec = getattr(cfg, section)
+        if spec is not None:
+            blocks.append(f"[{section}]\n" + "".join(
+                f"{f.name} = {_FORMAT[f.type](getattr(spec, f.name))}\n" for f in fields(cls)))
+    return "\n".join(blocks)

@@ -42,6 +42,10 @@ __all__ = [
 # treated as sign information.
 SIGN_TOL = 1e-12
 
+# Bisection of t_esd_numeric: absolute time tolerance and iteration cap.
+TIME_TOL = 1e-10
+MAX_ITER = 200
+
 
 def simon_sign(s):
     """Elementwise Simon sign: -1 entangled, +1 separable, 0 inside the dead band."""
@@ -165,20 +169,19 @@ def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:
     )
 
 
-def t_esd_numeric(
-    p0: GaussianParams,
-    ch: ChannelParams,
-    t_max: float,
-    time_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> EsdResult:
+def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdResult:
     """Separation time by sign scan and bisection on the Simon value S(t).
 
     If S(0) >= 0 the state is InitiallySeparable.  Otherwise S is scanned on
     a geometric grid (ratio 1.25, starting at 1e-3 over the mean rate, capped
-    at t_max); the first sign change is bisected to absolute time tolerance
-    ``time_tol``.  Without a sign change by t_max the decay is classified
-    Asymptotic, with t_max and S(t_max) recorded in the diagnostics.
+    at t_max) and the first sign change is bisected.  Bisection stops when
+    the bracket is narrower than TIME_TOL or when no float lies strictly
+    inside it (late separation times, above about 2**19 = 5.2e5, where
+    adjacent floats are more than TIME_TOL apart); t_esd is the bracket's
+    midpoint.  BudgetExceeded is raised only if neither happens within
+    MAX_ITER halvings.  Without a sign change by t_max the decay is
+    classified Asymptotic, with t_max and S(t_max) recorded in the
+    diagnostics.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
@@ -214,8 +217,8 @@ def t_esd_numeric(
         )
 
     lo, hi = bracket
-    for _ in range(max_iter):
-        if hi - lo < time_tol:
+    for _ in range(MAX_ITER):
+        if hi - lo < TIME_TOL or math.nextafter(lo, hi) == hi:
             break
         mid = 0.5 * (lo + hi)
         if s_of(mid) < 0.0:
@@ -223,7 +226,7 @@ def t_esd_numeric(
         else:
             hi = mid
     else:
-        raise BudgetExceeded(f"bisection did not converge within {max_iter} iterations")
+        raise BudgetExceeded(f"bisection did not converge within {MAX_ITER} iterations")
     return EsdResult(
         kind=EsdKind.FINITE_TIME,
         method=EsdMethod.NUMERIC_ROOT,

@@ -297,6 +297,12 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(0.1, 0.1, -0.2, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        for args in ((bad, 0.1), (0.1, bad), (0.1, 0.1, bad), (0.1, 0.1, 0.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ChannelParams(*args)
+
     def test_symmetric_constructor(self):
         ch = ChannelParams.symmetric(0.3, 0.5)
         assert (ch.gamma1, ch.gamma2, ch.nb1, ch.nb2) == (0.3, 0.3, 0.5, 0.5)

@@ -89,6 +89,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match="missing required key"):
             parse_config("[sweep]\nvariable = z0\nlo = 0\nhi = 1\n")
 
+    def test_default_dump_text(self):
+        # sections and keys come out in dataclass field order
+        assert dump_config(RunConfig()) == (
+            "[state]\nz1 = 0\nz2 = 0\nr = 0\nnu1 = 0\nnu2 = 0\n\n"
+            "[channel]\ngamma1 = 0.1\ngamma2 = 0.1\nnb1 = 0\nnb2 = 0\n\n"
+            "[time]\nt_max = 30\nn_points = 301\n\n"
+            "[output]\npath = -\nformat = csv\n\n"
+            "[oracle]\ncutoff = 20\ndt = 0\ntimes = \n"
+        )
+
+    @pytest.mark.parametrize("name", EXPECTED_RECIPES)
+    def test_recipe_dump_round_trip(self, name):
+        cfg = parse_config((RECIPES / name).read_text(), source=name)
+        text = dump_config(cfg)
+        assert parse_config(text) == cfg
+        assert dump_config(parse_config(text)) == text
+
+    def test_oracle_times_round_trip(self):
+        cfg = parse_config("[oracle]\ntimes = 2, 0.5 1e-3\ndt = 0.01\n")
+        assert cfg.oracle.times == (2.0, 0.5, 0.001)
+        text = dump_config(cfg)
+        assert "\ndt = 0.01\ntimes = 2, 0.5, 0.001\n" in text
+        assert parse_config(text) == cfg
+
+    @pytest.mark.parametrize("command, section, key, text", [
+        ("evolve", "state", "z1", "z1 = nan\n"),
+        ("evolve", "channel", "nb1", "nb1 = nan\n"),
+        ("evolve", "channel", "gamma2", "gamma2 = inf\n"),
+        ("esd", "time", "t_max", "t_max = inf\n"),
+        ("sweep", "sweep", "lo", "variable = z0\nlo = -inf\nhi = 1\nsteps = 3\n"),
+        ("oracle-check", "oracle", "times", "times = 1, nan\n"),
+        ("oracle-check", "oracle", "dt", "dt = inf\n"),
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, section, key,
+                                              text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[{section}]\n{text}")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"[{section}] {key}: cannot parse" in capsys.readouterr().err
+
     def test_recipes_exist_and_parse(self):
         for name in EXPECTED_RECIPES:
             path = RECIPES / name
@@ -157,6 +197,12 @@ class TestEvolveCommand:
               "--out", str(out), "--t-max", "10"])
         _, rows = read_csv(out)
         assert rows[-1][0] == 10.0
+
+
+    def test_non_finite_t_max_override_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["esd", "--t-max", "inf"])
+        assert exc.value.code == 2
 
 
 class TestEsdCommand:

@@ -164,6 +164,16 @@ class TestNumericRoot:
             assert num.kind is EsdKind.FINITE_TIME
             assert abs(num.t_esd - ana.t_esd) / ana.t_esd < 1e-6
 
+    @pytest.mark.parametrize("gamma", [1e-7, 1e-9, 1e-12])
+    def test_late_root_stops_at_float_resolution(self, gamma):
+        # t_esd above 2**19: adjacent floats are more than the 1e-10 time
+        # tolerance apart, so bisection has to stop on an empty bracket
+        ana = t_esd_analytic_symmetric(2.0, 1.0, gamma)
+        num = t_esd_numeric(GaussianParams.symmetric(2.0, 1.0), ChannelParams.symmetric(gamma),
+                            10.0 * ana.t_esd)
+        assert num.kind is EsdKind.FINITE_TIME
+        assert abs(num.t_esd - ana.t_esd) / ana.t_esd < 1e-9
+
     def test_scan_past_the_exp_overflow_is_asymptotic(self):
         # the scan reaches 2 gamma t = 1000, where exp(2 gamma t) overflows
         res = t_esd_numeric(GaussianParams.symmetric(0.0, 1.0), ChannelParams.symmetric(0.1), 5000.0)
