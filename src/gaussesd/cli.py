@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=0,
                        help="accepted and ignored; sweeps run in one process")
         p.add_argument("--t-max", type=finite_float, dest="t_max", help="override [time] t_max")
-        p.add_argument("--seed", type=int, help="reserved; dynamics are deterministic")
         p.set_defaults(func=func)
     return parser
 

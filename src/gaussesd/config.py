@@ -23,6 +23,10 @@ __all__ = ["TimeGrid", "SweepSpec", "OutputSpec", "OracleSpec", "RunConfig",
 
 SWEEP_VARIABLES = ("z0", "r0", "nu", "t")
 OUTPUT_FORMATS = ("csv", "json")
+# Largest Fock cutoff per mode of the oracle (gaussesd.fock): its dense
+# two-mode matrices are cutoff^2 x cutoff^2.  Defined here so that a config is
+# checked without loading the oracle.
+MAX_CUTOFF = 32
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,11 @@ class OutputSpec:
 @dataclass(frozen=True)
 class OracleSpec:
     cutoff: int = 20
-    dt: float = 0.0  # ignored: the propagator is exact; kept so configs load
     times: tuple[float, ...] = ()  # empty means derived from the channel
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise ConfigError(f"[oracle] cutoff must be >= 2, got {self.cutoff}")
-        if self.dt < 0:
-            raise ConfigError(f"[oracle] dt must be >= 0, got {self.dt}")
+        if not 2 <= self.cutoff <= MAX_CUTOFF:
+            raise ConfigError(f"[oracle] cutoff must be in [2, {MAX_CUTOFF}], got {self.cutoff}")
         if any(t <= 0 for t in self.times):
             raise ConfigError("[oracle] times must all be > 0")
 

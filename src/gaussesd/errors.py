@@ -39,7 +39,9 @@ class StepTooLarge(GaussEsdError):
 
 
 class NonNegligibleImaginaryPart(GaussEsdError):
-    """A moment that must be real carries an imaginary part above tolerance."""
+    """A Fock density matrix was given with a nonzero imaginary part.  The
+    oracle's states are real, so this is raised when the matrix is
+    constructed, before any moment is read out."""
 
 
 class ConfigError(GaussEsdError):

@@ -29,7 +29,6 @@ __all__ = [
     "esd_condition_symmetric",
     "symmetric_esd_decay_ratio",
     "symmetric_esd_decay_ratio_alt",
-    "compare_decay_ratio_forms",
     "t_esd_analytic_symmetric",
     "t_esd_numeric",
     "initial_entanglement_threshold",
@@ -117,35 +116,14 @@ def symmetric_esd_decay_ratio_alt(z0: float, r0: float) -> float:
     This expression is inconsistent with :func:`symmetric_esd_decay_ratio`
     (e.g. at z0 = 0 it yields a ratio in (0, 1), predicting finite-time
     separation where the decay is in fact asymptotic) and does not match the
-    numeric root anywhere tested.  Kept for the comparison diagnostic only.
+    numeric root anywhere tested.  Kept so that the discrepancy stays pinned
+    (acceptance criterion 4).
     """
     num = 2.0 * math.exp(r0) * math.cosh(2.0 * z0) * math.sinh(r0) - 2.0 * math.sinh(z0) ** 2
     den = math.exp(2.0 * r0) * (math.cosh(2.0 * r0) - math.sinh(2.0 * z0))
     if den == 0.0:
         raise DomainError(f"alt decay-ratio denominator vanishes at z0={z0}, r0={r0}")
     return num / den
-
-
-def compare_decay_ratio_forms(z0: float, r0: float) -> dict:
-    """Diagnostic comparing the two closed-form decay ratios.
-
-    Returns both ratios, whether each lies in the valid band (0, 1), and
-    whether they disagree about the existence or value of t_esd.
-    """
-    r_canonical = symmetric_esd_decay_ratio(z0, r0)
-    r_alt = symmetric_esd_decay_ratio_alt(z0, r0)
-    valid_canonical = 0.0 < r_canonical < 1.0
-    valid_alt = 0.0 < r_alt < 1.0
-    disagree = (valid_canonical != valid_alt) or (
-        valid_canonical and valid_alt and not math.isclose(r_canonical, r_alt, rel_tol=1e-9)
-    )
-    return {
-        "ratio_canonical": r_canonical,
-        "ratio_alt": r_alt,
-        "valid_canonical": valid_canonical,
-        "valid_alt": valid_alt,
-        "disagree": disagree,
-    }
 
 
 def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:

@@ -8,6 +8,10 @@ moments back out.  Everything here is independent of the closed forms in
 :mod:`gaussesd.channel`, which is the point: agreement of the two routes
 certifies both.
 
+All of it is real arithmetic on dense matrices built from one truncated
+single-mode ladder a (real, so a' = a^T): the squeezer generators, the mode
+generators, the reference right-hand side and the moment read-out.
+
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
 the cutoff is declared insufficient.
@@ -15,35 +19,20 @@ the cutoff is declared insufficient.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .channel import ChannelParams
-from .errors import (
-    CutoffInsufficient,
-    NonNegligibleImaginaryPart,
-    StepTooLarge,
-)
+from .config import MAX_CUTOFF
+from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, StepTooLarge
 from .states import CovarianceMatrix, GaussianParams
 
-__all__ = [
-    "FockDensityMatrix",
-    "build_initial_state",
-    "lindblad_rhs",
-    "mode_generator",
-    "mode_propagator",
-    "integrate",
-    "moments",
-    "in_certified_domain",
-    "CERTIFIED_DOMAIN",
-]
+__all__ = ["FockDensityMatrix", "build_initial_state", "lindblad_rhs", "mode_generator",
+           "mode_propagator", "integrate", "moments", "in_certified_domain", "CERTIFIED_DOMAIN"]
 
-MAX_CUTOFF = 32
 TAIL_TOL = 1e-6
 
 # Parameter box on which the oracle's truncation error at cutoff 20 has been
@@ -77,7 +66,15 @@ def in_certified_domain(p: GaussianParams, ch: ChannelParams, t: float, cutoff: 
 @dataclass
 class FockDensityMatrix:
     """Two-mode density operator truncated to ``cutoff`` Fock levels per
-    mode, stored as a dense complex matrix in the |n1, n2> basis."""
+    mode, stored as a dense real (float64) matrix in the |n1, n2> basis.
+
+    The storage is real because the dynamics keep it real: the ladder
+    operators, the squeezer generators with real z and r, the thermal weights
+    and the damping generators all have real Fock matrix elements, so a real
+    state stays real (Serafini, *Quantum Continuous Variables*, ch. 5).
+    Complex ``data`` is accepted only when its imaginary part is exactly
+    zero; otherwise NonNegligibleImaginaryPart is raised here, at entry.
+    """
 
     cutoff: int
     data: np.ndarray
@@ -85,24 +82,32 @@ class FockDensityMatrix:
     def __post_init__(self):
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
+        data = np.asarray(self.data)
         d = self.cutoff * self.cutoff
-        if self.data.shape != (d, d):
+        if data.shape != (d, d):
             raise ValueError(f"data must be {d}x{d} for cutoff {self.cutoff}")
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        if np.iscomplexobj(data):
+            if np.any(data.imag):
+                worst = np.max(np.abs(data.imag))
+                raise NonNegligibleImaginaryPart(
+                    f"density matrix has imaginary parts up to {worst:.3e}")
+            data = data.real
+        self.data = np.asarray(data, dtype=np.float64)
 
     def tail_population(self) -> float:
         """Worst-mode population of the top two Fock levels."""
         n = self.cutoff
-        diag = np.real(np.diagonal(self.data)).reshape(n, n)
+        diag = np.diagonal(self.data).reshape(n, n)
         return float(max(diag[n - 2 :, :].sum(), diag[:, n - 2 :].sum()))
 
     def validate(self, tail_tol: float = TAIL_TOL) -> None:
-        """Hermiticity to 1e-10, unit trace to 1e-8, eigenvalues >= -1e-8,
-        tail below tail_tol (else CutoffInsufficient)."""
-        herm = float(np.max(np.abs(self.data - self.data.conj().T)))
-        if herm > 1e-10:
-            raise ValueError(f"density matrix not Hermitian: max asymmetry {herm:.3e}")
-        tr = complex(np.trace(self.data))
+        """Symmetry to 1e-10 (Hermiticity of a real matrix), unit trace to
+        1e-8, eigenvalues >= -1e-8, tail below tail_tol (else
+        CutoffInsufficient)."""
+        asym = float(np.max(np.abs(self.data - self.data.T)))
+        if asym > 1e-10:
+            raise ValueError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
+        tr = float(np.trace(self.data))
         if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         min_eig = float(np.linalg.eigvalsh(self.data).min())
@@ -115,37 +120,18 @@ class FockDensityMatrix:
             )
 
 
-@lru_cache(maxsize=8)
-def _operators(cutoff: int):
-    """Sparse mode operators and the six moment operators for a cutoff."""
-    a = sp.diags(np.sqrt(np.arange(1, cutoff)), 1, format="csr")
-    eye = sp.identity(cutoff, format="csr")
-    a1 = sp.kron(a, eye, format="csr")
-    a2 = sp.kron(eye, a, format="csr")
-    ad1 = a1.T.tocsr()  # real matrices: transpose == dagger
-    ad2 = a2.T.tocsr()
-    return {
-        "a1": a1,
-        "a2": a2,
-        "ad1": ad1,
-        "ad2": ad2,
-        "n1": (ad1 @ a1).tocsr(),
-        "n2": (ad2 @ a2).tocsr(),
-        "aad1": (a1 @ ad1).tocsr(),
-        "aad2": (a2 @ ad2).tocsr(),
-        "a1a1": (a1 @ a1).tocsr(),
-        "a2a2": (a2 @ a2).tocsr(),
-        "a1ad2": (a1 @ ad2).tocsr(),
-        "a1a2": (a1 @ a2).tocsr(),
-    }
+def _ladder(cutoff: int) -> np.ndarray:
+    """Truncated single-mode annihilator a; real, so a' = a^T."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+
+
+def _regroup(m: np.ndarray, n: int) -> np.ndarray:
+    """rho[(n1 n2), (m1 m2)] -> X[(n1 m1), (n2 m2)]; its own inverse."""
+    return np.ascontiguousarray(m.reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(n * n, n * n)
 
 
 def _thermal_weights(nu: float, cutoff: int) -> np.ndarray:
-    if nu <= 0.0:
-        w = np.zeros(cutoff)
-        w[0] = 1.0
-        return w
-    w = (nu / (1.0 + nu)) ** np.arange(cutoff)
+    w = (nu / (1.0 + nu)) ** np.arange(cutoff)  # nu = 0: 0.0 ** 0 = 1, the vacuum
     return w / w.sum()
 
 
@@ -157,23 +143,23 @@ def build_initial_state(
 
     The squeezers are matrix exponentials (scaling and squaring) of the
     truncated generators z/2 (a'^2 - a^2) and r (a1' a2' - a1 a2); the
-    generators are anti-Hermitian, so the truncated squeezers are exactly
-    unitary and the construction preserves trace and positivity.  Raises
+    generators are real and antisymmetric, so the truncated squeezers are
+    exactly orthogonal and the construction preserves trace and positivity.
+    Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
     CutoffInsufficient when the tail population exceeds ``tail_tol``.
     """
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds supported maximum {MAX_CUTOFF}")
-    ops = _operators(cutoff)
-    a = sp.diags(np.sqrt(np.arange(1, cutoff)), 1, format="csr")
-    ada = (a.T @ a.T - a @ a).toarray()
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
+    a = _ladder(cutoff)
+    ada = a.T @ a.T - a @ a
     u1 = expm(0.5 * p.z1 * ada)
     u2 = expm(0.5 * p.z2 * ada)
-    s2 = expm((p.r * (ops["ad1"] @ ops["ad2"] - ops["a1"] @ ops["a2"])).toarray())
+    s2 = expm(p.r * (np.kron(a.T, a.T) - np.kron(a, a)))
     u = np.kron(u1, u2) @ s2
 
     w = np.kron(_thermal_weights(p.nu1, cutoff), _thermal_weights(p.nu2, cutoff))
-    rho = (u * w) @ u.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = (u * w) @ u.T
+    rho = 0.5 * (rho + rho.T)
     state = FockDensityMatrix(cutoff=cutoff, data=rho)
     tail = state.tail_population()
     if tail > tail_tol:
@@ -190,23 +176,19 @@ def lindblad_rhs(rho: FockDensityMatrix, ch: ChannelParams) -> np.ndarray:
         sum_i gamma_i (nb_i + 1)(2 a_i rho a_i' - a_i'a_i rho - rho a_i'a_i)
             + gamma_i nb_i (2 a_i' rho a_i - a_i a_i' rho - rho a_i a_i'),
 
-    as a dense matrix of the same shape.  Trace-free and Hermiticity
+    as a dense matrix of the same shape, formed directly on the two-mode
+    matrix (independent of :func:`mode_generator`).  Trace-free and symmetry
     preserving by construction.
     """
-    ops = _operators(rho.cutoff)
+    a = _ladder(rho.cutoff)
+    eye = np.eye(rho.cutoff)
     m = rho.data
     out = np.zeros_like(m)
-    for i, (g, nb) in ((1, (ch.gamma1, ch.nb1)), (2, (ch.gamma2, ch.nb2))):
-        a = ops[f"a{i}"]
-        ad = ops[f"ad{i}"]
-        n_op = ops[f"n{i}"]
-        aad = ops[f"aad{i}"]
-        # right products X @ B computed as (B^T @ X^T)^T with real sparse B
-        arho = a @ m
-        out += g * (nb + 1.0) * (2.0 * (a @ arho.T).T - n_op @ m - (n_op @ m.T).T)
-        if nb > 0.0:
-            adrho = ad @ m
-            out += g * nb * (2.0 * (ad @ adrho.T).T - aad @ m - (aad @ m.T).T)
+    for c, g, nb in ((np.kron(a, eye), ch.gamma1, ch.nb1), (np.kron(eye, a), ch.gamma2, ch.nb2)):
+        for op, rate in ((c, g * (nb + 1.0)), (c.T, g * nb)):
+            if rate > 0.0:
+                cdc = op.T @ op
+                out += rate * (2.0 * op @ m @ op.T - cdc @ m - m @ cdc)
     return out
 
 
@@ -214,7 +196,7 @@ def mode_generator(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     """Single-mode master-equation generator (the gamma, nb terms of
     :func:`lindblad_rhs` for one mode) acting on the row-major vectorized
     single-mode operator, index n * cutoff + m.  Real, cutoff^2 x cutoff^2."""
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    a = _ladder(cutoff)
     eye = np.eye(cutoff)
 
     def dissipator(c: np.ndarray) -> np.ndarray:
@@ -253,20 +235,6 @@ def mode_propagator(gamma: float, nb: float, cutoff: int, t: float) -> np.ndarra
     return out
 
 
-def _apply(e1: np.ndarray, e2: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
-    """exp(tL1) (x) exp(tL2) applied to a two-mode density matrix.
-
-    rho[(n1 n2), (m1 m2)] is regrouped as X[(n1 m1), (n2 m2)], on which the
-    propagator acts as E1 X E2^T.  The real factors multiply the real view
-    of the complex data, so both products are real matmuls.
-    """
-    d = n * n
-    x = np.ascontiguousarray(data.reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(d, d)
-    e1x = (e1 @ x.view(np.float64)).view(np.complex128)
-    y_t = (e2 @ np.ascontiguousarray(e1x.T).view(np.float64)).view(np.complex128)
-    return y_t.T.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(d, d)
-
-
 def integrate(
     rho0: FockDensityMatrix,
     ch: ChannelParams,
@@ -279,7 +247,7 @@ def integrate(
     so exp(tL) = exp(tL1) (x) exp(tL2).  The result E(t) rho is accepted
     only if the split E(t/2) E(t/2) rho, from its own matrix exponentials,
     gives every moment to within 1e-6 (StepTooLarge otherwise).  The
-    returned state is validated: Hermiticity, unit trace, positivity and the
+    returned state is validated: symmetry, unit trace, positivity and the
     tail bound (CutoffInsufficient if the bath heats the state past the
     cutoff).
     """
@@ -290,16 +258,14 @@ def integrate(
 
     n = rho0.cutoff
     modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-    full = [mode_propagator(g, nb, n, t) for g, nb in modes]
-    half = [mode_propagator(g, nb, n, 0.5 * t) for g, nb in modes]
-    out = FockDensityMatrix(cutoff=n, data=_apply(*full, rho0.data, n))
-    split = FockDensityMatrix(cutoff=n, data=_apply(*half, _apply(*half, rho0.data, n), n))
+    e1, e2 = (mode_propagator(g, nb, n, t) for g, nb in modes)
+    h1, h2 = (mode_propagator(g, nb, n, 0.5 * t) for g, nb in modes)
+    # on the regrouped X[(n1 m1), (n2 m2)] the propagator acts as E1 X E2^T
+    x = _regroup(rho0.data, n)
+    out = FockDensityMatrix(cutoff=n, data=_regroup(e1 @ x @ e2.T, n))
+    split = FockDensityMatrix(cutoff=n, data=_regroup(h1 @ (h1 @ x @ h2.T) @ h2.T, n))
 
-    m_out = moments(out)
-    m_split = moments(split)
-    diff = max(
-        abs(getattr(m_out, f) - getattr(m_split, f)) for f in ("n1", "n2", "m1", "m2", "ms", "mc")
-    )
+    diff = max(abs(u - v) for u, v in zip(astuple(moments(out)), astuple(moments(split))))
     if not diff < 1e-6:
         raise StepTooLarge(
             f"propagating in two halves changes final moments by {diff:.3e} (>= 1e-6)"
@@ -312,32 +278,26 @@ def moments(rho: FockDensityMatrix) -> CovarianceMatrix:
     """Second moments n_i = <a_i'a_i>, m_i = -<a_i^2>, m_s = -<a1 a2'>,
     m_c = <a1 a2> as traces against the truncated operators.
 
-    Imaginary parts above 1e-6 raise NonNegligibleImaginaryPart; between
-    1e-8 and 1e-6 they are discarded with a warning.
+    tr((A (x) B) rho) = vec(A^T) . X . vec(B^T) on the regrouped
+    X[(n1 m1), (n2 m2)], with row-major vec.
     """
-    ops = _operators(rho.cutoff)
-    m = rho.data
+    n = rho.cutoff
+    a = _ladder(n)
+    eye = np.eye(n)
+    x = _regroup(rho.data, n)
 
-    def tr(op) -> complex:
-        # tr(A rho) via elementwise product, avoiding a full matmul
-        return complex(op.multiply(m.T).sum())
+    def tr(op1: np.ndarray, op2: np.ndarray) -> float:
+        return float(op1.T.ravel() @ x @ op2.T.ravel())
 
-    raw = {
-        "n1": tr(ops["n1"]),
-        "n2": tr(ops["n2"]),
-        "m1": -tr(ops["a1a1"]),
-        "m2": -tr(ops["a2a2"]),
-        "ms": -tr(ops["a1ad2"]),
-        "mc": tr(ops["a1a2"]),
-    }
-    worst = max(abs(v.imag) for v in raw.values())
-    if worst > 1e-6:
-        raise NonNegligibleImaginaryPart(f"moment imaginary part {worst:.3e} exceeds 1e-6")
-    if worst > 1e-8:
-        warnings.warn(f"discarding moment imaginary parts up to {worst:.3e}", stacklevel=2)
+    num = a.T @ a
+    n1 = tr(num, eye)
+    n2 = tr(eye, num)
     # occupations may round to -1e-16; clamp only genuinely tiny negatives
-    n1 = max(raw["n1"].real, 0.0) if raw["n1"].real > -1e-6 else raw["n1"].real
-    n2 = max(raw["n2"].real, 0.0) if raw["n2"].real > -1e-6 else raw["n2"].real
     return CovarianceMatrix(
-        n1=n1, n2=n2, m1=raw["m1"].real, m2=raw["m2"].real, ms=raw["ms"].real, mc=raw["mc"].real
+        n1=max(n1, 0.0) if n1 > -1e-6 else n1,
+        n2=max(n2, 0.0) if n2 > -1e-6 else n2,
+        m1=-tr(a @ a, eye),
+        m2=-tr(eye, a @ a),
+        ms=-tr(a, a.T),
+        mc=tr(a, a),
     )

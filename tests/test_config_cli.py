@@ -62,7 +62,7 @@ class TestConfig:
     def test_dump_is_fully_explicit(self):
         text = dump_config(RunConfig())
         for key in ("z1", "z2", "r", "nu1", "nu2", "gamma1", "gamma2", "nb1", "nb2",
-                    "t_max", "n_points", "path", "format", "cutoff", "dt"):
+                    "t_max", "n_points", "path", "format", "cutoff", "times"):
             assert f"{key} = " in text
 
     def test_unknown_section_rejected(self):
@@ -96,7 +96,7 @@ class TestConfig:
             "[channel]\ngamma1 = 0.1\ngamma2 = 0.1\nnb1 = 0\nnb2 = 0\n\n"
             "[time]\nt_max = 30\nn_points = 301\n\n"
             "[output]\npath = -\nformat = csv\n\n"
-            "[oracle]\ncutoff = 20\ndt = 0\ntimes = \n"
+            "[oracle]\ncutoff = 20\ntimes = \n"
         )
 
     @pytest.mark.parametrize("name", EXPECTED_RECIPES)
@@ -107,10 +107,10 @@ class TestConfig:
         assert dump_config(parse_config(text)) == text
 
     def test_oracle_times_round_trip(self):
-        cfg = parse_config("[oracle]\ntimes = 2, 0.5 1e-3\ndt = 0.01\n")
+        cfg = parse_config("[oracle]\ntimes = 2, 0.5 1e-3\n")
         assert cfg.oracle.times == (2.0, 0.5, 0.001)
         text = dump_config(cfg)
-        assert "\ndt = 0.01\ntimes = 2, 0.5, 0.001\n" in text
+        assert "\ncutoff = 20\ntimes = 2, 0.5, 0.001\n" in text
         assert parse_config(text) == cfg
 
     @pytest.mark.parametrize("command, section, key, text", [
@@ -120,7 +120,6 @@ class TestConfig:
         ("esd", "time", "t_max", "t_max = inf\n"),
         ("sweep", "sweep", "lo", "variable = z0\nlo = -inf\nhi = 1\nsteps = 3\n"),
         ("oracle-check", "oracle", "times", "times = 1, nan\n"),
-        ("oracle-check", "oracle", "dt", "dt = inf\n"),
     ])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, section, key,
                                               text):
@@ -128,6 +127,21 @@ class TestConfig:
         cfg.write_text(f"[{section}]\n{text}")
         assert main([command, "--config", str(cfg)]) == 2
         assert f"[{section}] {key}: cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.01", "inf"])
+    def test_retired_oracle_dt_is_unknown_key(self, tmp_path, capsys, value):
+        # the propagator is exact, so [oracle] dt has no meaning any more
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[oracle]\ndt = {value}\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 2
+        assert "unknown key 'dt' in section [oracle]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", [1, 33, 40])
+    def test_out_of_range_cutoff_is_config_error(self, tmp_path, capsys, cutoff):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[oracle]\ncutoff = {cutoff}\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 2
+        assert "[oracle] cutoff must be in [2, 32]" in capsys.readouterr().err
 
     def test_recipes_exist_and_parse(self):
         for name in EXPECTED_RECIPES:
@@ -425,10 +439,6 @@ class TestDumpConfigCommand:
         cfg = parse_config(text)
         assert cfg.sweep is not None and cfg.sweep.variable == "z0"
         assert cfg.state.r == 1.0
-
-    def test_seed_flag_accepted(self, capsys):
-        assert main(["dump-config", "--seed", "7"]) == 0
-        assert "[state]" in capsys.readouterr().out
 
 
 class TestEntryPoint:

@@ -13,7 +13,6 @@ from gaussesd import (
     GaussianParams,
     InvalidGrid,
     cm_from_params,
-    compare_decay_ratio_forms,
     esd_boundary_sweep,
     esd_condition_symmetric,
     initial_entanglement_threshold,
@@ -109,18 +108,16 @@ class TestAlternativeForm:
     def test_disagrees_even_without_single_mode_squeezing(self):
         # the alt form claims a finite separation time for a two-mode
         # squeezed vacuum at zero temperature, which is wrong
-        report = compare_decay_ratio_forms(0.0, 1.0)
-        assert report["valid_alt"] and not report["valid_canonical"]
-        assert report["disagree"]
-        assert report["ratio_alt"] == pytest.approx(0.23, abs=0.01)
+        ratio = symmetric_esd_decay_ratio(0.0, 1.0)
+        ratio_alt = symmetric_esd_decay_ratio_alt(0.0, 1.0)
+        assert 0.0 < ratio_alt < 1.0 and not 0.0 < ratio < 1.0
+        assert ratio_alt == pytest.approx(0.23, abs=0.01)
         ratio_direct = (math.e**2 - 1) / (math.e**2 * math.cosh(2.0))
-        assert symmetric_esd_decay_ratio_alt(0.0, 1.0) == pytest.approx(ratio_direct, rel=1e-12)
+        assert ratio_alt == pytest.approx(ratio_direct, rel=1e-12)
 
     def test_disagrees_in_the_separating_region(self):
-        report = compare_decay_ratio_forms(2.0, 1.0)
-        assert report["valid_canonical"] and not report["valid_alt"]
-        assert report["ratio_alt"] < 0.0
-        assert report["disagree"]
+        assert 0.0 < symmetric_esd_decay_ratio(2.0, 1.0) < 1.0
+        assert symmetric_esd_decay_ratio_alt(2.0, 1.0) < 0.0
 
     def test_canonical_form_matches_numeric_root(self):
         # the arbitration: only the eta/zeta form agrees with root-finding

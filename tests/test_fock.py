@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +31,18 @@ from conftest import MOMENT_FIELDS, moment_diff
 
 def basis_state(n1, n2, cutoff):
     d = cutoff * cutoff
-    rho = np.zeros((d, d), dtype=complex)
+    rho = np.zeros((d, d))
     idx = n1 * cutoff + n2
     rho[idx, idx] = 1.0
     return FockDensityMatrix(cutoff=cutoff, data=rho)
+
+
+def random_state(rng, cutoff):
+    """Random real symmetric positive unit-trace two-mode matrix."""
+    d = cutoff * cutoff
+    x = rng.normal(size=(d, d))
+    rho = x @ x.T
+    return FockDensityMatrix(cutoff=cutoff, data=rho / np.trace(rho))
 
 
 class TestBuildInitialState:
@@ -47,7 +59,7 @@ class TestBuildInitialState:
         coeff = np.array([math.tanh(r) ** n / math.cosh(r) for n in range(6)])
         for n in range(6):
             for m in range(6):
-                entry = rho.data[n * cutoff + n, m * cutoff + m].real
+                entry = rho.data[n * cutoff + n, m * cutoff + m]
                 assert entry == pytest.approx(coeff[n] * coeff[m], abs=1e-12)
         # nothing off the |n,n> Schmidt diagonal
         assert abs(rho.data[1 * cutoff + 0, 1 * cutoff + 0]) < 1e-14
@@ -59,7 +71,8 @@ class TestBuildInitialState:
 
     def test_validates_invariants(self):
         rho = build_initial_state(GaussianParams(0.2, -0.1, 0.4, 0.1, 0.2), 20)
-        rho.validate()  # hermitian, unit trace, positive, small tail
+        assert rho.data.dtype == np.float64
+        rho.validate()  # symmetric, unit trace, positive, small tail
 
     def test_insufficient_cutoff_raises(self):
         with pytest.raises(CutoffInsufficient):
@@ -68,6 +81,11 @@ class TestBuildInitialState:
     def test_cutoff_cap(self):
         with pytest.raises(ValueError):
             build_initial_state(GaussianParams(0.0, 0.0, 0.0), 40)
+
+    @pytest.mark.parametrize("cutoff", [-1, 0, 1, fock.MAX_CUTOFF + 1])
+    def test_cutoff_range_checked_first(self, cutoff):
+        with pytest.raises(ValueError, match=r"cutoff .* outside the supported range \[2, 32\]"):
+            build_initial_state(GaussianParams(0.0, 0.0, 0.0), cutoff)
 
 
 class TestLindbladRhs:
@@ -92,23 +110,17 @@ class TestLindbladRhs:
         assert np.max(np.abs(rhs)) < 1e-14
 
     def test_trace_free_and_hermiticity_preserving(self, rng):
-        cutoff = 6
-        d = cutoff * cutoff
-        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = x @ x.conj().T
-        rho /= np.trace(rho).real
-        fr = FockDensityMatrix(cutoff=cutoff, data=rho)
-        rhs = lindblad_rhs(fr, ChannelParams(0.2, 0.4, 0.3, 0.1))
+        # the operators are real, so L acts on real and imaginary parts
+        # separately and a real symmetric state covers the general case
+        rhs = lindblad_rhs(random_state(rng, 6), ChannelParams(0.2, 0.4, 0.3, 0.1))
         assert abs(np.trace(rhs)) < 1e-12
-        assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
+        assert np.max(np.abs(rhs - rhs.T)) < 1e-12
 
     def test_matches_factorized_generator(self, rng):
         cutoff = 6
         d = cutoff * cutoff
-        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = x @ x.conj().T
-        rho /= np.trace(rho).real
-        fr = FockDensityMatrix(cutoff=cutoff, data=rho)
+        fr = random_state(rng, cutoff)
+        rho = fr.data
         ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
         direct = lindblad_rhs(fr, ch)
         # L1 (x) I + I (x) L2 acting on rho regrouped as X[(n1 m1), (n2 m2)]
@@ -184,6 +196,12 @@ class TestIntegrate:
         with pytest.raises(CutoffInsufficient):
             integrate(rho, ChannelParams.symmetric(0.3, 3.0), 12.0)
 
+    def test_real_storage(self):
+        rho = build_initial_state(GaussianParams.tmsv(0.4), 12)
+        out = integrate(rho, ChannelParams(0.2, 0.4, 0.3, 0.1), 1.0, tail_tol=1e-3)
+        assert out.data.dtype == np.float64
+        assert integrate(rho, ChannelParams.symmetric(0.2), 0.0).data.dtype == np.float64
+
     def test_cutoff_doubling_converges(self):
         # certified-domain interior point; the relaxed tail gate only
         # affects the low-cutoff reference run
@@ -210,26 +228,57 @@ class TestMoments:
         assert cm.mc == pytest.approx(0.5 * math.sinh(1.0), abs=1e-6)
         assert abs(cm.m1) < 1e-10 and abs(cm.ms) < 1e-10
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_dense_traces(self, rng, symmetric):
+        # tr((A (x) B) rho) written out literally for each moment; an added
+        # antisymmetric part also pins which factor is transposed
+        cutoff = 6
+        rho = random_state(rng, cutoff)
+        if not symmetric:
+            y = rng.normal(size=rho.data.shape) / rho.data.size
+            rho = FockDensityMatrix(cutoff=cutoff, data=rho.data + y - y.T)
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+        eye = np.eye(cutoff)
+        cm = moments(rho)
+
+        def tr(op1, op2):
+            return np.trace(np.kron(op1, op2) @ rho.data)
+
+        expected = {
+            "n1": tr(a.T @ a, eye),
+            "n2": tr(eye, a.T @ a),
+            "m1": -tr(a @ a, eye),
+            "m2": -tr(eye, a @ a),
+            "ms": -tr(a, a.T),
+            "mc": tr(a, a),
+        }
+        for f in MOMENT_FIELDS:
+            assert abs(getattr(cm, f) - expected[f]) < 1e-14, f
+
     def test_imaginary_part_rejected(self):
         cutoff = 4
         d = cutoff * cutoff
         psi = np.zeros(d, dtype=complex)
         psi[0 * cutoff + 0] = 1.0 / math.sqrt(2.0)
         psi[2 * cutoff + 0] = 1j / math.sqrt(2.0)  # (|0> + i|2>)/sqrt2 on mode 1
-        rho = FockDensityMatrix(cutoff=cutoff, data=np.outer(psi, psi.conj()))
         with pytest.raises(NonNegligibleImaginaryPart):
-            moments(rho)
+            FockDensityMatrix(cutoff=cutoff, data=np.outer(psi, psi.conj()))
 
-    def test_small_imaginary_part_warns(self):
+    def test_small_imaginary_part_rejected(self):
+        # no tolerance: any nonzero imaginary part is rejected at entry
         cutoff = 4
         d = cutoff * cutoff
         psi = np.zeros(d, dtype=complex)
         eps = 1e-7
         psi[0] = math.sqrt(1.0 - eps**2)
         psi[2 * cutoff] = 1j * eps  # tiny complex amplitude on |2,0>
-        rho = FockDensityMatrix(cutoff=cutoff, data=np.outer(psi, psi.conj()))
-        with pytest.warns(UserWarning):
-            moments(rho)
+        with pytest.raises(NonNegligibleImaginaryPart):
+            FockDensityMatrix(cutoff=cutoff, data=np.outer(psi, psi.conj()))
+
+    def test_complex_input_with_zero_imaginary_part_accepted(self):
+        rho = FockDensityMatrix(cutoff=3, data=np.eye(9, dtype=complex) / 9.0)
+        assert rho.data.dtype == np.float64
+        assert np.array_equal(rho.data, np.eye(9) / 9.0)
 
 
 class TestHelpers:
@@ -247,3 +296,16 @@ class TestHelpers:
             FockDensityMatrix(cutoff=4, data=np.eye(4))
         with pytest.raises(ValueError):
             FockDensityMatrix(cutoff=1, data=np.eye(1))
+
+    def test_array_like_data_converted(self):
+        rho = FockDensityMatrix(cutoff=2, data=(np.eye(4) / 4.0).tolist())
+        assert isinstance(rho.data, np.ndarray) and rho.data.dtype == np.float64
+        with pytest.raises(ValueError):
+            FockDensityMatrix(cutoff=2, data=[[1.0, 0.0], [0.0, 0.0]])
+
+    def test_import_does_not_load_scipy_sparse(self):
+        src = str(Path(fock.__file__).resolve().parents[1])
+        code = "import sys, gaussesd; print('scipy.sparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"
