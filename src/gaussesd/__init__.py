@@ -4,116 +4,18 @@ Covariance-matrix dynamics in closed form, the Simon separability test,
 entanglement-sudden-death detection (analytic and numeric), and an
 independent truncated-Fock-space master-equation propagator for
 cross-validation.
+
+The public names are the ``__all__`` lists of the modules states, channel,
+esd, fock and errors, re-exported here in that order.
 """
 
-from .channel import (
-    ChannelParams,
-    Trajectory,
-    count_sign_changes,
-    evolve,
-    evolve_cm,
-    evolve_symmetric,
-    sample_trajectory,
-    simon_curve,
-    simon_grid,
-    symmetric_initial_moments,
-)
-from .errors import (
-    BudgetExceeded,
-    ConfigError,
-    CutoffInsufficient,
-    DomainError,
-    ExtractionOutOfDomain,
-    GaussEsdError,
-    InvalidGrid,
-    NonNegligibleImaginaryPart,
-    NonPhysicalCM,
-    StepTooLarge,
-)
-from .esd import (
-    EsdKind,
-    EsdMethod,
-    EsdResult,
-    esd_boundary_sweep,
-    esd_condition_symmetric,
-    initial_entanglement_threshold,
-    simon_sign,
-    symmetric_esd_decay_ratio,
-    symmetric_esd_decay_ratio_alt,
-    t_esd_analytic_symmetric,
-    t_esd_numeric,
-)
-from .fock import (
-    FockDensityMatrix,
-    build_initial_state,
-    in_certified_domain,
-    integrate,
-    lindblad_rhs,
-    moments,
-)
-from .states import (
-    CovarianceMatrix,
-    GaussianParams,
-    SymplecticInvariants,
-    cm_from_params,
-    invariants,
-    locally_squeezed,
-    params_from_cm,
-    simon_criterion,
-    simon_criterion_no_squeezing,
-    simon_from_moments,
-    two_mode_squeezed,
-)
+from . import channel, errors, esd, fock, states
+from .channel import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .esd import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianParams",
-    "CovarianceMatrix",
-    "SymplecticInvariants",
-    "cm_from_params",
-    "params_from_cm",
-    "invariants",
-    "simon_criterion",
-    "simon_from_moments",
-    "simon_criterion_no_squeezing",
-    "locally_squeezed",
-    "two_mode_squeezed",
-    "ChannelParams",
-    "Trajectory",
-    "evolve",
-    "evolve_cm",
-    "evolve_symmetric",
-    "symmetric_initial_moments",
-    "sample_trajectory",
-    "simon_curve",
-    "simon_grid",
-    "count_sign_changes",
-    "EsdKind",
-    "EsdMethod",
-    "EsdResult",
-    "esd_condition_symmetric",
-    "symmetric_esd_decay_ratio",
-    "symmetric_esd_decay_ratio_alt",
-    "t_esd_analytic_symmetric",
-    "t_esd_numeric",
-    "initial_entanglement_threshold",
-    "esd_boundary_sweep",
-    "simon_sign",
-    "FockDensityMatrix",
-    "build_initial_state",
-    "lindblad_rhs",
-    "integrate",
-    "moments",
-    "in_certified_domain",
-    "GaussEsdError",
-    "NonPhysicalCM",
-    "ExtractionOutOfDomain",
-    "DomainError",
-    "InvalidGrid",
-    "BudgetExceeded",
-    "CutoffInsufficient",
-    "StepTooLarge",
-    "NonNegligibleImaginaryPart",
-    "ConfigError",
-]
+__all__ = [*states.__all__, *channel.__all__, *esd.__all__, *fock.__all__, *errors.__all__]

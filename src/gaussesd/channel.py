@@ -33,7 +33,6 @@ __all__ = [
     "evolve_symmetric",
     "symmetric_initial_moments",
     "sample_trajectory",
-    "count_sign_changes",
 ]
 
 
@@ -195,26 +194,3 @@ def sample_trajectory(
     states = tuple(CovarianceMatrix(*row) for row in zip(*(m[0].tolist() for m in moments)))
     simon = tuple(simon_from_moments(*moments)[0].tolist())
     return Trajectory(times=times, states=states, simon=simon)
-
-
-def count_sign_changes(values, tol: float = 1e-12) -> int:
-    """Number of sign flips in a sampled curve, ignoring excursions smaller
-    than tol.
-
-    Values inside [-tol, tol] do not update the latched sign, which keeps
-    late-time floating-point flicker around zero from being miscounted as
-    crossings.
-    """
-    changes = 0
-    latched = 0
-    for v in values:
-        if v > tol:
-            s = 1
-        elif v < -tol:
-            s = -1
-        else:
-            continue
-        if latched != 0 and s != latched:
-            changes += 1
-        latched = s
-    return changes

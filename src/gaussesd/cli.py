@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 from . import fock
 from .channel import ChannelParams, evolve, sample_trajectory, simon_grid
@@ -24,9 +24,7 @@ from .errors import (
     StepTooLarge,
 )
 from .esd import initial_entanglement_threshold, simon_sign, t_esd_analytic_symmetric, t_esd_numeric
-from .states import GaussianParams
-
-MOMENT_FIELDS = ("n1", "n2", "m1", "m2", "ms", "mc")
+from .states import CovarianceMatrix, GaussianParams
 
 
 def _fmt(x) -> str:
@@ -176,7 +174,7 @@ def _oracle_single(p, ch, times, cutoff, tail_tol):
         t_prev = t
         got = fock.moments(rho)
         want = evolve(p, ch, t)
-        devs = [abs(getattr(got, f) - getattr(want, f)) for f in MOMENT_FIELDS]
+        devs = [abs(g - w) for g, w in zip(astuple(got), astuple(want))]
         worst = max(worst, max(devs))
         rows.append([t] + devs + [max(devs)])
     return rows, worst
@@ -200,7 +198,7 @@ def cmd_oracle_check(args) -> int:
             for z, r, nb in DEFAULT_ORACLE_SUITE
         ]
 
-    header = ["config", "t"] + [f"dev_{f}" for f in MOMENT_FIELDS] + ["max_dev"]
+    header = ["config", "t"] + [f"dev_{f.name}" for f in fields(CovarianceMatrix)] + ["max_dev"]
     rows = []
     advisory = False
     worst = 0.0

@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all gaussesd modules."""
 
+__all__ = ["GaussEsdError", "NonPhysicalCM", "ExtractionOutOfDomain", "DomainError", "InvalidGrid",
+           "BudgetExceeded", "CutoffInsufficient", "StepTooLarge", "NonNegligibleImaginaryPart",
+           "ConfigError"]
+
 
 class GaussEsdError(Exception):
     """Base class for all gaussesd errors."""

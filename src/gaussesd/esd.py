@@ -34,6 +34,7 @@ __all__ = [
     "initial_entanglement_threshold",
     "esd_boundary_sweep",
     "simon_sign",
+    "count_sign_changes",
 ]
 
 # Simon values inside this band around zero are numerically indistinguishable
@@ -49,6 +50,18 @@ MAX_ITER = 200
 def simon_sign(s):
     """Elementwise Simon sign: -1 entangled, +1 separable, 0 inside the dead band."""
     return np.where(s > SIGN_TOL, 1, np.where(s < -SIGN_TOL, -1, 0))
+
+
+def count_sign_changes(values) -> int:
+    """Number of sign flips in a sampled curve under :func:`simon_sign`.
+
+    Values inside its dead band, and NaN, carry no sign and are dropped
+    before the flips are counted, which keeps late-time floating-point
+    flicker around zero from being miscounted as crossings.
+    """
+    signs = simon_sign(np.asarray(values, dtype=float))
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 class EsdKind(enum.Enum):

@@ -20,7 +20,6 @@ the cutoff is declared insufficient.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -211,7 +210,6 @@ def mode_generator(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     return gen
 
 
-@lru_cache(maxsize=8)
 def _diagonals(cutoff: int) -> tuple[np.ndarray, ...]:
     """Indices n * cutoff + m of each diagonal k = n - m of a mode operator."""
     idx = np.arange(cutoff * cutoff)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussesd import (
     ChannelParams,
@@ -139,6 +141,11 @@ class TestEvolve:
         p, ch = GaussianParams.tmsv(0.5), ChannelParams.symmetric(0.1)
         with pytest.raises(ValueError):
             evolve(p, ch, -0.1)
+
+    def test_evolve_cm_rejects_negative_time(self):
+        cm = cm_from_params(GaussianParams.tmsv(0.5))
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            evolve_cm(cm, ChannelParams.symmetric(0.1), -0.1)
 
 
 class TestSymmetricCase:
@@ -288,6 +295,26 @@ class TestSignCounting:
 
     def test_down_and_up(self):
         assert count_sign_changes([1.0, -1.0, 1.0]) == 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(
+        [1.0, -1.0, 1e-4, -1e-4, 1e-12, -1e-12, 5e-13, -5e-13, 0.0, -0.0, math.nan,
+         math.inf, -math.inf]), max_size=40))
+    def test_matches_latch_loop(self, values):
+        # the latch loop that counted sign flips before the count was built
+        # on simon_sign: values within 1e-12 of zero, and NaN, keep the latch
+        changes, latched = 0, 0
+        for v in values:
+            if v > 1e-12:
+                s = 1
+            elif v < -1e-12:
+                s = -1
+            else:
+                continue
+            if latched != 0 and s != latched:
+                changes += 1
+            latched = s
+        assert count_sign_changes(values) == changes
 
 
 class TestChannelParams:

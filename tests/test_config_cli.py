@@ -143,6 +143,20 @@ class TestConfig:
         assert main(["oracle-check", "--config", str(cfg)]) == 2
         assert "[oracle] cutoff must be in [2, 32]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, text", [
+        ("evolve", "time", "t_max", "t_max = 0\n"),
+        ("evolve", "time", "n_points", "n_points = 1\n"),
+        ("sweep", "sweep", "steps", "variable = z0\nlo = 0\nhi = 1\nsteps = 1\n"),
+        ("evolve", "output", "format", "format = xml\n"),
+        ("oracle-check", "oracle", "times", "times = 0\n"),
+    ], ids=["t_max", "n_points", "steps", "format", "times"])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, section, key,
+                                                text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[{section}]\n{text}")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] {key} ")
+
     def test_recipes_exist_and_parse(self):
         for name in EXPECTED_RECIPES:
             path = RECIPES / name
@@ -392,6 +406,16 @@ class TestRecipeBytes:
 
 
 class TestOracleCheckCommand:
+    def test_default_suite_writes_the_printed_table(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle-check", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        table = printed.split("max_deviation: ")[0]
+        assert printed.endswith("status: pass\n")
+        assert table.startswith("config,t,dev_n1,dev_n2,dev_m1,dev_m2,dev_ms,dev_mc,max_dev\n")
+        assert len(table.splitlines()) == 1 + 9  # header, 3 configs x 3 times
+        assert out.read_text() == table
+
     def test_small_custom_config_passes(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text(

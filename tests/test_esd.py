@@ -208,6 +208,28 @@ class TestNumericRoot:
             EsdResult(kind=EsdKind.ASYMPTOTIC, method=EsdMethod.ANALYTIC, t_esd=1.0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: esd_boundary_sweep(1.0, ChannelParams.symmetric(0.1), [0.0, 1.0], [-1.0, 0.5]),
+     InvalidGrid, "times must be >= 0"),
+    (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), 0.0),
+     ValueError, "t_max must be > 0"),
+    (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), -1.0),
+     ValueError, "t_max must be > 0"),
+    (lambda: t_esd_analytic_symmetric(2.0, 0.0, 0.1), ValueError, "need r0 > 0 and gamma > 0"),
+    (lambda: t_esd_analytic_symmetric(2.0, 1.0, 0.0), ValueError, "need r0 > 0 and gamma > 0"),
+    (lambda: t_esd_analytic_symmetric(2.0, 1.0, -0.1), ValueError, "need r0 > 0 and gamma > 0"),
+    (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, 0.0), ValueError,
+     "t_esd must be > 0"),
+    (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, -1.0), ValueError,
+     "t_esd must be > 0"),
+], ids=["sweep-negative-times", "numeric-t-max-zero", "numeric-t-max-negative",
+        "analytic-r0-zero", "analytic-gamma-zero", "analytic-gamma-negative",
+        "result-t-esd-zero", "result-t-esd-negative"])
+def test_out_of_range_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestInitialEntanglementThreshold:
     def test_pure_modes_have_zero_threshold(self):
         assert initial_entanglement_threshold(0.0, 0.0) == 0.0
