@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: evolve, esd, sweep, oracle-check, dump-config.
-Exit codes: 0 ok, 2 config error, 3 physics-domain error, 4 oracle failure.
-All numeric output is rendered with 12 significant digits; identical
+Exit codes: 0 ok, 2 config error, 3 physics-domain error, 4 oracle failure:
+any oracle gate (deviation >= 1e-3 or an errors.OracleError).
+All numeric output is rendered by config.format_value; identical
 configurations produce byte-identical output files.
 """
 
@@ -15,27 +16,11 @@ from dataclasses import astuple, fields, replace
 
 from . import fock
 from .channel import ChannelParams, evolve, sample_trajectory, simon_grid
-from .config import OutputSpec, RunConfig, dump_config, finite_float, parse_config_file
-from .errors import (
-    ConfigError,
-    CutoffInsufficient,
-    GaussEsdError,
-    NonNegligibleImaginaryPart,
-    StepTooLarge,
-)
+from .config import (OutputSpec, RunConfig, dump_config, finite_float, format_value,
+                     parse_config_file)
+from .errors import ConfigError, GaussEsdError, OracleError
 from .esd import initial_entanglement_threshold, simon_sign, t_esd_analytic_symmetric, t_esd_numeric
 from .states import CovarianceMatrix, GaussianParams
-
-
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    value = float(x)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".12g")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -49,11 +34,11 @@ def _write_text(path: str, text: str) -> None:
 def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
         return "\n".join(lines) + "\n"
     body = ",\n".join(
-        "    [" + ", ".join(json.dumps(c) if isinstance(c, str) else _fmt(c) for c in row) + "]"
-        for row in rows
+        "    [" + ", ".join(json.dumps(c) if isinstance(c, str) else format_value(c) for c in row)
+        + "]" for row in rows
     )
     cols = ", ".join(f'"{name}"' for name in header)
     return "{\n  \"columns\": [" + cols + "],\n  \"rows\": [\n" + body + "\n  ]\n}\n"
@@ -115,7 +100,7 @@ def cmd_esd(args) -> int:
         r_min = initial_entanglement_threshold(cfg.state.nu1, cfg.state.nu2)
         fields.append(("initial_entanglement_threshold", r_min))
 
-    sys.stdout.write("".join(f"{name}: {_fmt(value)}\n" for name, value in fields))
+    sys.stdout.write("".join(f"{name}: {format_value(value)}\n" for name, value in fields))
     if cfg.output.path != "-":
         _write_text(cfg.output.path, _render_table(["field", "value"], fields, cfg.output.format))
     return 0
@@ -185,34 +170,24 @@ def cmd_oracle_check(args) -> int:
     cutoff = cfg.oracle.cutoff
 
     if args.config:
-        gamma_max = max(cfg.channel.gamma1, cfg.channel.gamma2)
-        times = cfg.oracle.times or tuple(gt / gamma_max for gt in ORACLE_GAMMA_T)
-        suite = [(cfg.state, cfg.channel, tuple(sorted(times)))]
+        cases = [(cfg.state, cfg.channel)]
     else:
-        suite = [
-            (
-                GaussianParams.symmetric(z, r),
-                ChannelParams.symmetric(ORACLE_GAMMA, nb),
-                tuple(gt / ORACLE_GAMMA for gt in ORACLE_GAMMA_T),
-            )
-            for z, r, nb in DEFAULT_ORACLE_SUITE
-        ]
+        cases = [(GaussianParams.symmetric(z, r), ChannelParams.symmetric(ORACLE_GAMMA, nb))
+                 for z, r, nb in DEFAULT_ORACLE_SUITE]
 
     header = ["config", "t"] + [f"dev_{f.name}" for f in fields(CovarianceMatrix)] + ["max_dev"]
     rows = []
     advisory = False
     worst = 0.0
-    for idx, (p, ch, times) in enumerate(suite):
-        inside = all(
-            fock.in_certified_domain(p, ch, t, cutoff) for t in times
-        )
+    for idx, (p, ch) in enumerate(cases):
+        gamma_max = max(ch.gamma1, ch.gamma2)
+        times = sorted(cfg.oracle.times or [gt / gamma_max for gt in ORACLE_GAMMA_T])
+        inside = all(fock.in_certified_domain(p, ch, t, cutoff) for t in times)
         tail_tol = fock.TAIL_TOL
         if not inside:
             advisory = True
             tail_tol = ADVISORY_TAIL_TOL
-            sys.stderr.write(
-                "warning: parameters outside certified domain; output is advisory\n"
-            )
+            sys.stderr.write("warning: parameters outside certified domain; output is advisory\n")
         chunk, chunk_worst = _oracle_single(p, ch, times, cutoff, tail_tol)
         worst = max(worst, chunk_worst)
         for row in chunk:
@@ -220,7 +195,7 @@ def cmd_oracle_check(args) -> int:
 
     table = _render_table(header, rows, cfg.output.format)
     sys.stdout.write(table)
-    sys.stdout.write(f"max_deviation: {_fmt(worst)}\n")
+    sys.stdout.write(f"max_deviation: {format_value(worst)}\n")
     if cfg.output.path != "-":
         _write_text(cfg.output.path, table)
 
@@ -273,7 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (CutoffInsufficient, StepTooLarge, NonNegligibleImaginaryPart) as exc:
+    except OracleError as exc:
         sys.stderr.write(f"oracle error: {exc}\n")
         return 4
     except (GaussEsdError, ValueError, OverflowError) as exc:

@@ -3,23 +3,22 @@
 dumped config re-parses to an equivalent run.
 
 The section dataclasses are the only schema.  Their fields give the keys,
-``RunConfig()`` gives the defaults, and each field's type picks the converter
-that parses its value and the formatter that dumps it, so adding a key is
+``RunConfig()`` gives the defaults, each field's type picks the converter
+that parses its value and :func:`format_value` dumps it, so adding a key is
 adding one dataclass field.  Field order is dump order.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
 from .errors import ConfigError
-from .states import GaussianParams
+from .states import GaussianParams, _require_finite
 
 __all__ = ["TimeGrid", "SweepSpec", "OutputSpec", "OracleSpec", "RunConfig",
-           "finite_float", "parse_config", "parse_config_file", "dump_config"]
+           "finite_float", "format_value", "parse_config", "parse_config_file", "dump_config"]
 
 SWEEP_VARIABLES = ("z0", "r0", "nu", "t")
 OUTPUT_FORMATS = ("csv", "json")
@@ -101,22 +100,29 @@ _SECTIONS = {"state": GaussianParams, "channel": ChannelParams, "time": TimeGrid
 
 def finite_float(raw: str) -> float:
     """The converter of every float key (and of ``--t-max``)."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("value must be finite")
-    return value
+    return _require_finite("value", raw)
 
 
-def _fmt_num(x: float) -> str:
-    return format(float(x), ".12g")
+def format_value(x) -> str:
+    """The one number format of every output: strings as they are, ints in
+    full, floats with 12 significant digits and -0.0 written as 0, tuples
+    comma-separated."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, tuple):
+        return ", ".join(map(format_value, x))
+    if isinstance(x, int):
+        return str(x)
+    value = float(x)
+    if value == 0.0:
+        value = 0.0  # normalize -0.0
+    return format(value, ".12g")
 
 
-# Converters and formatters keyed on the field annotation, which is a string
-# because every module that defines a section uses postponed annotations.
+# Converters keyed on the field annotation, which is a string because every
+# module that defines a section uses postponed annotations.
 _PARSE = {"float": finite_float, "int": int, "str": str.strip,
           "tuple[float, ...]": lambda raw: tuple(map(finite_float, raw.replace(",", " ").split()))}
-_FORMAT = {"float": _fmt_num, "int": str, "str": str,
-           "tuple[float, ...]": lambda values: ", ".join(map(_fmt_num, values))}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -180,5 +186,5 @@ def dump_config(cfg: RunConfig) -> str:
         spec = getattr(cfg, section)
         if spec is not None:
             blocks.append(f"[{section}]\n" + "".join(
-                f"{f.name} = {_FORMAT[f.type](getattr(spec, f.name))}\n" for f in fields(cls)))
+                f"{f.name} = {format_value(getattr(spec, f.name))}\n" for f in fields(cls)))
     return "\n".join(blocks)

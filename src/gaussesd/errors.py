@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all gaussesd modules."""
 
 __all__ = ["GaussEsdError", "NonPhysicalCM", "ExtractionOutOfDomain", "DomainError", "InvalidGrid",
-           "BudgetExceeded", "CutoffInsufficient", "StepTooLarge", "NonNegligibleImaginaryPart",
-           "ConfigError"]
+           "BudgetExceeded", "OracleError", "CutoffInsufficient", "StepTooLarge",
+           "NonNegligibleImaginaryPart", "ConfigError"]
 
 
 class GaussEsdError(Exception):
@@ -10,8 +10,8 @@ class GaussEsdError(Exception):
 
 
 class NonPhysicalCM(GaussEsdError):
-    """Covariance moments violate the physicality conditions
-    (det V_i >= 1/4 and positive semidefiniteness of the 4x4 matrix)."""
+    """Covariance moments violate the uncertainty relation
+    V + i Omega / 2 >= 0 (see CovarianceMatrix.is_physical)."""
 
 
 class ExtractionOutOfDomain(GaussEsdError):
@@ -32,17 +32,23 @@ class BudgetExceeded(GaussEsdError):
     """An iterative solver hit its iteration cap before converging."""
 
 
-class CutoffInsufficient(GaussEsdError):
+class OracleError(GaussEsdError):
+    """The Fock-space oracle (gaussesd.fock) failed one of its gates: a
+    density matrix that is not symmetric, not of unit trace or not positive,
+    or one of the subclasses below."""
+
+
+class CutoffInsufficient(OracleError):
     """Fock-space truncation too small: population near the top levels
     exceeds the tail tolerance."""
 
 
-class StepTooLarge(GaussEsdError):
+class StepTooLarge(OracleError):
     """Fock propagation failed the split-consistency gate: E(t) rho and
     E(t/2) E(t/2) rho differ in some moment by 1e-6 or more."""
 
 
-class NonNegligibleImaginaryPart(GaussEsdError):
+class NonNegligibleImaginaryPart(OracleError):
     """A Fock density matrix was given with a nonzero imaginary part.  The
     oracle's states are real, so this is raised when the matrix is
     constructed, before any moment is read out."""

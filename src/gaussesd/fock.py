@@ -26,7 +26,7 @@ from scipy.linalg import expm
 
 from .channel import ChannelParams
 from .config import MAX_CUTOFF
-from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, StepTooLarge
+from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, OracleError, StepTooLarge
 from .states import CovarianceMatrix, GaussianParams
 
 __all__ = ["FockDensityMatrix", "build_initial_state", "lindblad_rhs", "mode_generator",
@@ -101,17 +101,17 @@ class FockDensityMatrix:
 
     def validate(self, tail_tol: float = TAIL_TOL) -> None:
         """Symmetry to 1e-10 (Hermiticity of a real matrix), unit trace to
-        1e-8, eigenvalues >= -1e-8, tail below tail_tol (else
-        CutoffInsufficient)."""
+        1e-8 and eigenvalues >= -1e-8 (else OracleError), tail below
+        tail_tol (else CutoffInsufficient)."""
         asym = float(np.max(np.abs(self.data - self.data.T)))
         if asym > 1e-10:
-            raise ValueError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
+            raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
         tr = float(np.trace(self.data))
         if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+            raise OracleError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         min_eig = float(np.linalg.eigvalsh(self.data).min())
         if min_eig < -1e-8:
-            raise ValueError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
+            raise OracleError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
         tail = self.tail_population()
         if tail > tail_tol:
             raise CutoffInsufficient(
@@ -288,12 +288,10 @@ def moments(rho: FockDensityMatrix) -> CovarianceMatrix:
         return float(op1.T.ravel() @ x @ op2.T.ravel())
 
     num = a.T @ a
-    n1 = tr(num, eye)
-    n2 = tr(eye, num)
-    # occupations may round to -1e-16; clamp only genuinely tiny negatives
+    # CovarianceMatrix clamps occupations that rounding pushed below zero
     return CovarianceMatrix(
-        n1=max(n1, 0.0) if n1 > -1e-6 else n1,
-        n2=max(n2, 0.0) if n2 > -1e-6 else n2,
+        n1=tr(num, eye),
+        n2=tr(eye, num),
         m1=-tr(a @ a, eye),
         m2=-tr(eye, a @ a),
         ms=-tr(a, a.T),

@@ -111,14 +111,22 @@ class CovarianceMatrix:
         )
 
     def is_physical(self, tol: float = 1e-12) -> bool:
-        """det V_1 >= 1/4, det V_2 >= 1/4 and the 4x4 matrix PSD (within tol)."""
-        a = self.n1 + 0.5
-        b = self.n2 + 0.5
-        if a * a - self.m1 * self.m1 < 0.25 - tol:
-            return False
-        if b * b - self.m2 * self.m2 < 0.25 - tol:
-            return False
-        return float(np.linalg.eigvalsh(self.as_matrix()).min()) >= -tol
+        """The uncertainty relation V + i Omega / 2 >= 0 in invariant form
+        (Simon, PRL 84, 2726 (2000)): the 4x4 matrix PSD (within tol),
+        i1, i2 >= 1/4, iv >= 1/16 and iv + 1/16 >= (i1 + i2 + 2 i3) / 4, each
+        within tol times its scale: s1 = (n1 + 1/2 + |m1|)^2 for i1, s2 for
+        i2 and s1 s2 for the last two, so that rounding of large moments
+        never rejects a physical state."""
+        s1 = (self.n1 + 0.5 + abs(self.m1)) ** 2
+        s2 = (self.n2 + 0.5 + abs(self.m2)) ** 2
+        inv = invariants(self)
+        return (
+            inv.i1 >= 0.25 - tol * s1
+            and inv.i2 >= 0.25 - tol * s2
+            and float(np.linalg.eigvalsh(self.as_matrix()).min()) >= -tol
+            and inv.iv >= 0.0625 - tol * s1 * s2
+            and inv.iv + 0.0625 - 0.25 * (inv.i1 + inv.i2 + 2.0 * inv.i3) >= -tol * s1 * s2
+        )
 
 
 @dataclass(frozen=True)
@@ -311,7 +319,7 @@ def params_from_cm(cm: CovarianceMatrix, textbook_formulas: bool = False) -> Gau
     """
     if not cm.is_physical(tol=1e-9):
         raise NonPhysicalCM(
-            "covariance moments violate det V_i >= 1/4 or positive semidefiniteness"
+            "covariance moments violate the uncertainty relation V + i Omega / 2 >= 0"
         )
     if textbook_formulas:
         return _params_from_cm_textbook(cm)

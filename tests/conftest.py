@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-MOMENT_FIELDS = ("n1", "n2", "m1", "m2", "ms", "mc")
-PARAM_FIELDS = ("z1", "z2", "r", "nu1", "nu2")
+from gaussesd import CovarianceMatrix, GaussianParams
+
+MOMENT_FIELDS = tuple(f.name for f in fields(CovarianceMatrix))
+PARAM_FIELDS = tuple(f.name for f in fields(GaussianParams))
 
 
 def moment_diff(a, b) -> float:

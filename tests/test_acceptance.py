@@ -37,8 +37,8 @@ from gaussesd import (
     t_esd_numeric,
 )
 from gaussesd.fock import build_initial_state, integrate, moments
+from conftest import MOMENT_FIELDS
 
-MOMENT_FIELDS = ("n1", "n2", "m1", "m2", "ms", "mc")
 Z_STAR = 0.5 * math.acosh(math.exp(2.0))  # ESD boundary in z at r0 = 1
 # One-decimal reading of the same boundary: the paper's condition
 # 0 < r0 < log(cosh(2 z0)) / 2 at r0 = 1 gives cosh(2 z0) = e^2, so

@@ -3,17 +3,19 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gaussesd import ChannelParams, ConfigError, GaussianParams, evolve, simon_criterion
+from gaussesd import ChannelParams, ConfigError, GaussianParams, cli, evolve, fock, simon_criterion
 from gaussesd.cli import main
 from gaussesd.config import (
     OutputSpec,
     RunConfig,
     SweepSpec,
     dump_config,
+    format_value,
     parse_config,
 )
 
@@ -64,6 +66,19 @@ class TestConfig:
         for key in ("z1", "z2", "r", "nu1", "nu2", "gamma1", "gamma2", "nb1", "nb2",
                     "t_max", "n_points", "path", "format", "cutoff", "times"):
             assert f"{key} = " in text
+
+    def test_malformed_ini_is_config_error(self, tmp_path, capsys):
+        text = "z1 = 0.5\n[state]\n"  # a key before any section header
+        with pytest.raises(ConfigError, match="no section headers"):
+            parse_config(text)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_format_value(self):
+        assert [format_value(x) for x in ("csv", 7, -0.0, 1.0 / 3.0, 2.5e-17, (2.0, 0.5))] == [
+            "csv", "7", "0", "0.333333333333", "2.5e-17", "2, 0.5"]
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -120,7 +135,7 @@ class TestConfig:
         ("esd", "time", "t_max", "t_max = inf\n"),
         ("sweep", "sweep", "lo", "variable = z0\nlo = -inf\nhi = 1\nsteps = 3\n"),
         ("oracle-check", "oracle", "times", "times = 1, nan\n"),
-    ])
+    ], ids=["z1", "nb1", "gamma2", "t_max", "lo", "times"])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, section, key,
                                               text):
         cfg = tmp_path / "c.cfg"
@@ -227,10 +242,11 @@ class TestEvolveCommand:
         assert rows[-1][0] == 10.0
 
 
-    def test_non_finite_t_max_override_rejected(self):
+    def test_non_finite_t_max_override_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["esd", "--t-max", "inf"])
         assert exc.value.code == 2
+        assert "argument --t-max: invalid finite_float value: 'inf'" in capsys.readouterr().err
 
 
 class TestEsdCommand:
@@ -442,6 +458,34 @@ class TestOracleCheckCommand:
         cfg.write_text("[state]\nr = 0.6\n[oracle]\ncutoff = 4\n")
         assert main(["oracle-check", "--config", str(cfg)]) == 4
 
+    def test_deviation_fails_with_exit_4(self, tmp_path, capsys, monkeypatch):
+        def shifted(p, ch, t):
+            cm = evolve(p, ch, t)
+            return replace(cm, mc=cm.mc + 1e-2)
+
+        monkeypatch.setattr(cli, "evolve", shifted)
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("[state]\nr = 0.4\n[channel]\ngamma1 = 0.25\ngamma2 = 0.25\n"
+                       "[oracle]\ntimes = 2\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 4
+        out = capsys.readouterr().out
+        assert out.endswith("status: FAIL (deviation >= 1e-3)\n")
+        assert float(out.split("max_deviation: ")[1].split()[0]) == pytest.approx(1e-2, rel=1e-3)
+
+    def test_trace_gate_exits_4(self, tmp_path, capsys, monkeypatch):
+        # E(s) exp(0.01 s) per mode: the two halves agree, so the split gate
+        # passes, but the trace grows to exp(0.02 t)
+        exact = fock.mode_propagator
+
+        def growing(gamma, nb, cutoff, s):
+            return exact(gamma, nb, cutoff, s) * math.exp(0.01 * s)
+
+        monkeypatch.setattr(fock, "mode_propagator", growing)
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("[state]\nr = 0.4\n[oracle]\ntimes = 2\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err.startswith("oracle error: trace deviates from 1 by 4.")
+
     def test_outside_certified_domain_is_advisory(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text(
@@ -463,6 +507,12 @@ class TestDumpConfigCommand:
         cfg = parse_config(text)
         assert cfg.sweep is not None and cfg.sweep.variable == "z0"
         assert cfg.state.r == 1.0
+
+    def test_negative_zero_dumps_as_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[state]\nz1 = -0\nr = -0.0\n")
+        assert main(["dump-config", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("[state]\nz1 = 0\nz2 = 0\nr = 0\n")
 
 
 class TestEntryPoint:

@@ -12,6 +12,7 @@ from gaussesd import (
     CutoffInsufficient,
     GaussianParams,
     NonNegligibleImaginaryPart,
+    OracleError,
     StepTooLarge,
     cm_from_params,
     evolve,
@@ -73,6 +74,21 @@ class TestBuildInitialState:
         rho = build_initial_state(GaussianParams(0.2, -0.1, 0.4, 0.1, 0.2), 20)
         assert rho.data.dtype == np.float64
         rho.validate()  # symmetric, unit trace, positive, small tail
+
+    @pytest.mark.parametrize("data, message", [
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 1e-9), 1), "not symmetric"),
+        (np.diag([0.5, 0.5, 0.0, 1e-7]), "trace deviates"),
+        (np.diag([0.75, 0.5, -0.25, 0.0]), "not positive"),
+    ], ids=["symmetry", "trace", "positivity"])
+    def test_validate_gates_raise_oracle_error(self, data, message):
+        rho = FockDensityMatrix(cutoff=2, data=data)
+        with pytest.raises(OracleError, match=message) as exc:
+            rho.validate(tail_tol=1.0)
+        assert not isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("cls", [CutoffInsufficient, StepTooLarge, NonNegligibleImaginaryPart])
+    def test_every_oracle_gate_is_an_oracle_error(self, cls):
+        assert issubclass(cls, OracleError)
 
     def test_insufficient_cutoff_raises(self):
         with pytest.raises(CutoffInsufficient):
@@ -139,6 +155,11 @@ class TestIntegrate:
         out = integrate(rho, ChannelParams.symmetric(0.2), 0.0)
         assert out is not rho
         assert np.array_equal(out.data, rho.data)
+
+    def test_negative_time_rejected(self):
+        rho = build_initial_state(GaussianParams.tmsv(0.4), 12)
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            integrate(rho, ChannelParams.symmetric(0.2), -1e-9)
 
     def test_matches_closed_form_tmsv(self):
         # primary oracle-equivalence check at gamma t = 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussesd import (
+    ChannelParams,
     CovarianceMatrix,
     ExtractionOutOfDomain,
     GaussianParams,
@@ -15,6 +16,7 @@ from gaussesd import (
     locally_squeezed,
     params_from_cm,
     simon_criterion,
+    evolve,
     simon_from_moments,
     two_mode_squeezed,
 )
@@ -131,18 +133,21 @@ class TestParameterExtraction:
             params_from_cm(CovarianceMatrix(0.0, 0.0, 0.4, 0.0, 0.0, 0.0))
 
     def test_extraction_out_of_domain_textbook(self):
-        # physical, but the textbook x expression blows past |x| = 1
-        cm = CovarianceMatrix(1.0, 1.0, -0.1, -0.1, 1.3, 0.0)
+        # physical (a chain of squeezers on a thermal state), but the textbook
+        # x expression comes out at -2.45, past |x| = 1
+        cm = cm_from_params(GaussianParams(0.0, 0.0, 0.0, 0.0, 0.1))
+        cm = two_mode_squeezed(locally_squeezed(cm, -0.1, 0.3), 1.0)
+        cm = two_mode_squeezed(locally_squeezed(cm, -0.1, -0.1), -1.2)
         assert cm.is_physical()
-        with pytest.raises(ExtractionOutOfDomain):
+        with pytest.raises(ExtractionOutOfDomain, match="r: arctanh argument -2.44"):
             params_from_cm(cm, textbook_formulas=True)
 
     def test_extraction_negative_occupation_rejected(self):
-        # physical but not in the image of the real parameterization:
-        # unwinding the squeezers leaves a negative occupation
+        # mc^2 = 1.44 > (n1 + 1) n2 = 0.3: unwinding the squeezers would leave
+        # a negative occupation, but the uncertainty relation rejects it first
         cm = CovarianceMatrix(2.0, 0.1, 0.0, 0.0, 0.0, 1.2)
-        assert cm.is_physical()
-        with pytest.raises(ExtractionOutOfDomain):
+        assert not cm.is_physical()
+        with pytest.raises(NonPhysicalCM):
             params_from_cm(cm)
 
 
@@ -367,5 +372,64 @@ class TestTypes:
         assert CovarianceMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0).is_physical()
         # det V1 = 0.25 - 0.16 < 1/4
         assert not CovarianceMatrix(0.0, 0.0, 0.4, 0.0, 0.0, 0.0).is_physical()
+        # det V1 = 1/4 and det V2 = 0.25 - 0.09 < 1/4
+        assert not CovarianceMatrix(0.0, 0.0, 0.0, 0.3, 0.0, 0.0).is_physical()
         # PSD violation: n1 + 1/2 = 0.5 but |mc| = 0.6
         assert not CovarianceMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.6).is_physical()
+
+    def test_cm_clamps_rounding_below_zero_occupation(self):
+        cm = CovarianceMatrix(-1e-12, -5e-13, 0.0, 0.0, 0.0, 0.0)
+        assert (cm.n1, cm.n2) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="occupations must be >= 0, got n2"):
+            CovarianceMatrix(0.0, -1.01e-12, 0.0, 0.0, 0.0, 0.0)
+
+
+def symplectic_eigenvalues(cm):
+    """Symplectic eigenvalues from quadrature blocks, independent of the
+    invariants: the rotation to (x + y, x - y) of each 2x2 block turns the
+    4x4 matrix into X (+) P, whose symplectic spectrum is sqrt(eig(X P))."""
+    a, b = cm.n1 + 0.5, cm.n2 + 0.5
+    x = np.array([[a - cm.m1, cm.ms - cm.mc], [cm.ms - cm.mc, b - cm.m2]])
+    p = np.array([[a + cm.m1, cm.ms + cm.mc], [cm.ms + cm.mc, b + cm.m2]])
+    return x, p, np.sort(np.sqrt(np.linalg.eigvals(x @ p).astype(complex)).real)
+
+
+class TestPhysicality:
+    def test_blocks_and_psd_are_not_the_uncertainty_relation(self):
+        # det V1 = det V2 = 1/4 and the 4x4 matrix is PSD, but both symplectic
+        # eigenvalues are 0.4 < 1/2
+        cm = CovarianceMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.3)
+        inv = invariants(cm)
+        assert (inv.i1, inv.i2) == (0.25, 0.25)
+        assert np.linalg.eigvalsh(cm.as_matrix()).min() > 0.0
+        assert symplectic_eigenvalues(cm)[2] == pytest.approx([0.4, 0.4], abs=1e-12)
+        assert not cm.is_physical()
+        with pytest.raises(NonPhysicalCM):
+            params_from_cm(cm)
+
+    def test_agrees_with_symplectic_spectrum(self, rng):
+        # random moments, mostly unphysical; draws within 1e-6 of a boundary
+        # are left out
+        checked = 0
+        for _ in range(4000):
+            n1, n2 = rng.uniform(0.0, 2.0, 2)
+            m1, m2, ms, mc = rng.uniform(-1.5, 1.5, 4)
+            cm = CovarianceMatrix(n1, n2, m1, m2, ms, mc)
+            x, p, nu = symplectic_eigenvalues(cm)
+            margin = min(*np.linalg.eigvalsh(x), *np.linalg.eigvalsh(p), nu[0] - 0.5)
+            if abs(margin) < 1e-6:
+                continue
+            checked += 1
+            assert cm.is_physical() == (margin > 0.0), cm
+        assert checked > 3900
+
+    def test_forward_map_and_evolution_are_physical(self, rng):
+        # pure states up to |z| = 3.5, where a^2 ~ 3e5 and the rounding of
+        # det V1 - 1/4 is ~1e-11, and heated evolved states
+        for z in np.linspace(-3.5, 3.5, 29):
+            assert cm_from_params(GaussianParams(z, -z / 2, 0.0)).is_physical()
+        for p in random_params(rng, 200):
+            ch = ChannelParams(*rng.uniform(0.05, 1.0, 2), *rng.uniform(0.0, 2.0, 2))
+            for t in (0.0, 0.3, 3.0, 30.0):
+                cm = evolve(p, ch, t)
+                assert cm.is_physical() and symplectic_eigenvalues(cm)[2][0] > 0.5 - 1e-9
