@@ -8,9 +8,10 @@ moments back out.  Everything here is independent of the closed forms in
 :mod:`gaussesd.channel`, which is the point: agreement of the two routes
 certifies both.
 
-All of it is real arithmetic on dense matrices built from one truncated
-single-mode ladder a (real, so a' = a^T): the squeezer generators, the mode
-generators, the reference right-hand side and the moment read-out.
+All of it is real arithmetic from one truncated ladder a (a' = a^T) on exact
+blocks: damping conserves k = n - m per mode, the two-mode squeezer n1 - n2,
+and both keep the parity of n1 + n2.  The dense :func:`mode_generator` and
+:func:`lindblad_rhs` are the references.  scipy loads only to exponentiate.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channel import ChannelParams
 from .config import MAX_CUTOFF
@@ -37,14 +37,7 @@ TAIL_TOL = 1e-6
 # Parameter box on which the oracle's truncation error at cutoff 20 has been
 # verified small enough to arbitrate the closed forms; outside it results are
 # advisory.
-CERTIFIED_DOMAIN = {
-    "r": 0.6,
-    "z": 0.4,
-    "nu": 0.3,
-    "nb": 0.5,
-    "gamma_t": 2.0,
-    "cutoff": 20,
-}
+CERTIFIED_DOMAIN = {"r": 0.6, "z": 0.4, "nu": 0.3, "nb": 0.5, "gamma_t": 2.0, "cutoff": 20}
 
 
 def in_certified_domain(p: GaussianParams, ch: ChannelParams, t: float, cutoff: int) -> bool:
@@ -102,14 +95,21 @@ class FockDensityMatrix:
     def validate(self, tail_tol: float = TAIL_TOL) -> None:
         """Symmetry to 1e-10 (Hermiticity of a real matrix), unit trace to
         1e-8 and eigenvalues >= -1e-8 (else OracleError), tail below
-        tail_tol (else CutoffInsufficient)."""
+        tail_tol (else CutoffInsufficient).  Eigenvalues come from the two
+        parity blocks of n1 + n2 when all entries between them are 0."""
         asym = float(np.max(np.abs(self.data - self.data.T)))
         if asym > 1e-10:
             raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
         tr = float(np.trace(self.data))
         if abs(tr - 1.0) > 1e-8:
             raise OracleError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        min_eig = float(np.linalg.eigvalsh(self.data).min())
+        n = np.arange(self.cutoff)
+        order = np.argsort(np.add.outer(n, n).ravel() % 2, kind="stable")
+        h = (self.cutoff**2 + 1) // 2  # even n1 + n2 first
+        m = self.data.take(order, axis=0).take(order, axis=1)
+        cross = np.any(m[:h, h:]) or np.any(m[h:, :h])
+        blocks = [self.data] if cross else [m[:h, :h], m[h:, h:]]
+        min_eig = float(min(np.linalg.eigvalsh(b).min() for b in blocks))
         if min_eig < -1e-8:
             raise OracleError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
         tail = self.tail_population()
@@ -124,6 +124,32 @@ def _ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
+def _diagonals(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Indices n * cutoff + m of each diagonal k = n - m, k = 1 - cutoff up."""
+    return tuple(np.flatnonzero(np.eye(cutoff, k=-k)) for k in range(1 - cutoff, cutoff))
+
+
+def _tridiagonal(cutoff: int, diag, up: float, down: float) -> np.ndarray:
+    """Zero-padded blocks j >= 0 of a generator conserving j = n - m, position p
+    at (p + j, p): diag(n, m) on it, up * s above, down * s below, s = sqrt((n+1)(m+1))."""
+    p = np.arange(cutoff)
+    n = np.add.outer(p, p)  # over (j, p); m = p
+    s = np.where(n + 1 < cutoff, np.sqrt((n + 1) * (p + 1)), 0.0)[:, :-1]
+    gen = np.zeros((cutoff,) * 3)
+    gen[:, p, p] = np.where(n < cutoff, diag(n, p), 0.0)
+    gen[:, p[:-1], p[1:]] = up * s
+    gen[:, p[1:], p[:-1]] = down * s
+    return gen
+
+
+def _expm_blocks(gen: np.ndarray) -> np.ndarray:
+    """exp of each block (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)),
+    mirrored to j = 1 - c..c - 1 at index j + c - 1: block -j equals block j."""
+    from scipy.linalg import expm
+    e = expm(gen)
+    return np.concatenate((e[:0:-1], e))
+
+
 def _regroup(m: np.ndarray, n: int) -> np.ndarray:
     """rho[(n1 n2), (m1 m2)] -> X[(n1 m1), (n2 m2)]; its own inverse."""
     return np.ascontiguousarray(m.reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(n * n, n * n)
@@ -134,9 +160,8 @@ def _thermal_weights(nu: float, cutoff: int) -> np.ndarray:
     return w / w.sum()
 
 
-def build_initial_state(
-    p: GaussianParams, cutoff: int, tail_tol: float = TAIL_TOL
-) -> FockDensityMatrix:
+def build_initial_state(p: GaussianParams, cutoff: int,
+                        tail_tol: float = TAIL_TOL) -> FockDensityMatrix:
     """Squeezed thermal state S1(z1,z2) S2(r) sigma(nu1,nu2) S2' S1' in the
     truncated basis.
 
@@ -144,17 +169,20 @@ def build_initial_state(
     truncated generators z/2 (a'^2 - a^2) and r (a1' a2' - a1 a2); the
     generators are real and antisymmetric, so the truncated squeezers are
     exactly orthogonal and the construction preserves trace and positivity.
-    Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
+    The two-mode squeezer conserves n1 - n2 and is exponentiated by those
+    blocks.  Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
     CutoffInsufficient when the tail population exceeds ``tail_tol``.
     """
+    from scipy.linalg import expm
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
     a = _ladder(cutoff)
     ada = a.T @ a.T - a @ a
-    u1 = expm(0.5 * p.z1 * ada)
-    u2 = expm(0.5 * p.z2 * ada)
-    s2 = expm(p.r * (np.kron(a.T, a.T) - np.kron(a, a)))
-    u = np.kron(u1, u2) @ s2
+    u1, u2 = expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
+    u = np.kron(u1, u2)
+    s2 = _expm_blocks(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
+    for sel, b in zip(_diagonals(cutoff), s2):  # u @ S2, block by block
+        u[:, sel] = u[:, sel] @ b[: len(sel), : len(sel)]
 
     w = np.kron(_thermal_weights(p.nu1, cutoff), _thermal_weights(p.nu2, cutoff))
     rho = (u * w) @ u.T
@@ -210,44 +238,50 @@ def mode_generator(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     return gen
 
 
-def _diagonals(cutoff: int) -> tuple[np.ndarray, ...]:
-    """Indices n * cutoff + m of each diagonal k = n - m of a mode operator."""
-    idx = np.arange(cutoff * cutoff)
-    k = idx // cutoff - idx % cutoff
-    return tuple(np.flatnonzero(k == j) for j in range(1 - cutoff, cutoff))
+def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
+    """Blocks k >= 0 of :func:`mode_generator`: 2 a rho a' above the diagonal,
+    2 a' rho a below, number terms on it (the truncated a a' ends in 0)."""
+    def diag(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+        aad = np.where(n < cutoff - 1, n + 1.0, 0.0) + np.where(m < cutoff - 1, m + 1.0, 0.0)
+        return gamma * (nb + 1.0) * -(n + m) + gamma * nb * -aad
+    return _tridiagonal(cutoff, diag, 2.0 * gamma * (nb + 1.0), 2.0 * gamma * nb)
 
 
 def mode_propagator(gamma: float, nb: float, cutoff: int, t: float) -> np.ndarray:
-    """exp(t L) for the single-mode generator L of :func:`mode_generator`.
+    """exp(t L) for the single-mode generator L of :func:`mode_generator`, by
+    its blocks k = n - m, each tridiagonal in the position p along diagonal k:
+    a (2 cutoff - 1, cutoff, cutoff) stack whose entry k + cutoff - 1 holds
+    exp(t L_k) in its leading cutoff - |k| rows and columns."""
+    return _expm_blocks(t * _mode_blocks(gamma, nb, cutoff))
 
-    L conserves k = n - m, so it is block diagonal over the 2 cutoff - 1
-    diagonals, each block at most cutoff x cutoff; every block is
-    exponentiated by scaling and squaring (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)) and scattered into the dense factor.
-    """
-    gen = mode_generator(gamma, nb, cutoff)
-    out = np.zeros_like(gen)
-    for sel in _diagonals(cutoff):
-        block = np.ix_(sel, sel)
-        out[block] = expm(t * gen[block])
+
+def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F1 y F2^T for y in block order and F1, F2 as :func:`mode_propagator`
+    blocks: one small matmul per block on its rows, then on its columns."""
+    c = f1.shape[-1]
+    bounds = np.cumsum(np.r_[0, c - np.abs(np.arange(1 - c, c))])
+    left = np.empty_like(y)
+    for lo, hi, b in zip(bounds, bounds[1:], f1):
+        left[lo:hi] = b[: hi - lo, : hi - lo] @ y[lo:hi]
+    out = np.empty_like(y)
+    for lo, hi, b in zip(bounds, bounds[1:], f2):
+        out[:, lo:hi] = left[:, lo:hi] @ b[: hi - lo, : hi - lo].T
     return out
 
 
-def integrate(
-    rho0: FockDensityMatrix,
-    ch: ChannelParams,
-    t: float,
-    tail_tol: float = TAIL_TOL,
-) -> FockDensityMatrix:
+def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
+              tail_tol: float = TAIL_TOL) -> FockDensityMatrix:
     """Exact propagation of the master equation up to t.
 
     The generator is L1 (x) 1 + 1 (x) L2 with commuting single-mode terms,
-    so exp(tL) = exp(tL1) (x) exp(tL2).  The result E(t) rho is accepted
-    only if the split E(t/2) E(t/2) rho, from its own matrix exponentials,
-    gives every moment to within 1e-6 (StepTooLarge otherwise).  The
-    returned state is validated: symmetry, unit trace, positivity and the
-    tail bound (CutoffInsufficient if the bath heats the state past the
-    cutoff).
+    so exp(tL) = exp(tL1) (x) exp(tL2), which acts as E1 X E2^T on rho
+    regrouped as X[(n1 m1), (n2 m2)].  One gather puts X in k1 / k2 block
+    order, E1 and E2 apply as 2 cutoff - 1 block matmuls per side, and one
+    scatter returns the result.  It is accepted only if the split
+    E(t/2) E(t/2) rho, from its own matrix exponentials, gives every moment
+    to within 1e-6 (StepTooLarge otherwise).  The returned state is
+    validated: symmetry, unit trace, positivity and the tail bound
+    (CutoffInsufficient if the bath heats the state past the cutoff).
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -258,10 +292,18 @@ def integrate(
     modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
     e1, e2 = (mode_propagator(g, nb, n, t) for g, nb in modes)
     h1, h2 = (mode_propagator(g, nb, n, 0.5 * t) for g, nb in modes)
-    # on the regrouped X[(n1 m1), (n2 m2)] the propagator acts as E1 X E2^T
-    x = _regroup(rho0.data, n)
-    out = FockDensityMatrix(cutoff=n, data=_regroup(e1 @ x @ e2.T, n))
-    split = FockDensityMatrix(cutoff=n, data=_regroup(h1 @ (h1 @ x @ h2.T) @ h2.T, n))
+    # y[i, j] = rho[(n1 n2), (m1 m2)], (n1, m1) and (n2, m2) at block-order i, j
+    lv, lm = np.divmod(np.concatenate(_diagonals(n)), n)
+    flat = (lv * n**3 + lm * n)[:, None] + (lv * n**2 + lm)[None, :]
+    y = rho0.data.take(flat)
+
+    def state(x: np.ndarray) -> FockDensityMatrix:
+        data = np.empty(n**4)
+        data[flat] = x
+        return FockDensityMatrix(cutoff=n, data=data.reshape(n * n, n * n))
+
+    out = state(_apply(e1, e2, y))
+    split = state(_apply(h1, h2, _apply(h1, h2, y)))
 
     diff = max(abs(u - v) for u, v in zip(astuple(moments(out)), astuple(moments(split))))
     if not diff < 1e-6:
@@ -289,11 +331,5 @@ def moments(rho: FockDensityMatrix) -> CovarianceMatrix:
 
     num = a.T @ a
     # CovarianceMatrix clamps occupations that rounding pushed below zero
-    return CovarianceMatrix(
-        n1=tr(num, eye),
-        n2=tr(eye, num),
-        m1=-tr(a @ a, eye),
-        m2=-tr(eye, a @ a),
-        ms=-tr(a, a.T),
-        mc=tr(a, a),
-    )
+    return CovarianceMatrix(n1=tr(num, eye), n2=tr(eye, num), m1=-tr(a @ a, eye),
+                            m2=-tr(eye, a @ a), ms=-tr(a, a.T), mc=tr(a, a))

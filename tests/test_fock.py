@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,38 @@ class TestBuildInitialState:
         with pytest.raises(OracleError, match=message) as exc:
             rho.validate(tail_tol=1.0)
         assert not isinstance(exc.value, ValueError)
+
+    def test_negative_eigenvalue_in_one_parity_block_rejected(self, rng):
+        # cross-parity entries exactly zero, one eigenvalue -0.02 in the odd
+        # block of n1 + n2: the message is the whole matrix's, as before
+        cutoff = 3
+        parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel() % 2
+        data = np.zeros((cutoff**2, cutoff**2))
+        for par, eigs in ((0, [0.3, 0.2, 0.1, 0.1, 0.0]), (1, [0.22, 0.1, 0.0, -0.02])):
+            sel = np.flatnonzero(parity == par)
+            q, _ = np.linalg.qr(rng.normal(size=(len(sel), len(sel))))
+            data[np.ix_(sel, sel)] = (q * eigs) @ q.T
+        rho = FockDensityMatrix(cutoff=cutoff, data=0.5 * (data + data.T))
+        whole = np.linalg.eigvalsh(rho.data).min()
+        expected = f"density matrix not positive: min eigenvalue {whole:.3e}"
+        assert expected.endswith("-2.000e-02")
+        with pytest.raises(OracleError, match=re.escape(expected)):
+            rho.validate(tail_tol=1.0)
+
+    def test_cross_parity_entries_checked_on_whole_matrix(self):
+        # both parity blocks are PSD; the entry linking |0,0> (even) and
+        # |0,1> (odd) makes the whole matrix indefinite (eigenvalue -0.15)
+        data = np.eye(4) / 4.0
+        data[0, 1] = data[1, 0] = 0.4
+        rho = FockDensityMatrix(cutoff=2, data=data)
+        with pytest.raises(OracleError, match=re.escape("not positive: min eigenvalue -1.500e-01")):
+            rho.validate(tail_tol=1.0)
+
+    def test_parity_blocks_accept_a_built_state(self):
+        rho = build_initial_state(GaussianParams(0.2, -0.1, 0.4, 0.1, 0.2), 12, tail_tol=1e-3)
+        parity = np.add.outer(np.arange(12), np.arange(12)).ravel() % 2
+        assert not np.any(rho.data[np.ix_(parity == 0, parity == 1)])  # the structural zero
+        rho.validate(tail_tol=1e-3)
 
     @pytest.mark.parametrize("cls", [CutoffInsufficient, StepTooLarge, NonNegligibleImaginaryPart])
     def test_every_oracle_gate_is_an_oracle_error(self, cls):
@@ -235,6 +268,73 @@ class TestIntegrate:
         assert moment_diff(results[0], results[1]) < 1e-5
 
 
+def diagonal_indices(cutoff, k):
+    """Indices n * cutoff + m with n - m = k, written out independently."""
+    return [n * cutoff + (n - k) for n in range(cutoff) if 0 <= n - k < cutoff]
+
+
+def regroup(m, cutoff):
+    return m.reshape((cutoff,) * 4).transpose(0, 2, 1, 3).reshape(cutoff**2, cutoff**2)
+
+
+class TestBlocks:
+    CASES = [(0.3, 0.0, 6), (0.2, 0.4, 12), (0.25, 0.5, 20)]
+
+    @pytest.mark.parametrize("gamma, nb, cutoff", CASES)
+    def test_generator_blocks_match_dense_slices(self, gamma, nb, cutoff):
+        dense = mode_generator(gamma, nb, cutoff)
+        blocks = fock._mode_blocks(gamma, nb, cutoff)
+        assert blocks.shape == (cutoff, cutoff, cutoff)
+        for k in range(cutoff):
+            sel = diagonal_indices(cutoff, k)
+            size = len(sel)
+            ref = dense[np.ix_(sel, sel)]
+            assert np.max(np.abs(blocks[k, :size, :size] - ref)) < 1e-14
+            assert not np.any(blocks[k, size:]) and not np.any(blocks[k, :, size:])
+            neg = diagonal_indices(cutoff, -k)
+            assert np.array_equal(dense[np.ix_(neg, neg)], ref)  # block -k is block k
+
+    @pytest.mark.parametrize("gamma, nb, cutoff", CASES)
+    def test_propagator_blocks_match_dense_expm(self, gamma, nb, cutoff):
+        from scipy.linalg import expm
+
+        t = 3.0
+        dense = mode_generator(gamma, nb, cutoff)
+        e = fock.mode_propagator(gamma, nb, cutoff, t)
+        assert e.shape == (2 * cutoff - 1, cutoff, cutoff)
+        for k in range(1 - cutoff, cutoff):
+            sel = diagonal_indices(cutoff, k)
+            size = len(sel)
+            ref = expm(t * dense[np.ix_(sel, sel)])
+            assert np.max(np.abs(e[k + cutoff - 1, :size, :size] - ref)) < 1e-13
+
+    def test_integrate_matches_dense_reference(self):
+        from scipy.linalg import expm
+
+        cutoff, t = 12, 2.0
+        ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
+        rho = build_initial_state(GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2), cutoff, tail_tol=1e-3)
+        modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
+        e1, e2 = (expm(t * mode_generator(g, nb, cutoff)) for g, nb in modes)
+        ref = regroup(e1 @ regroup(rho.data, cutoff) @ e2.T, cutoff)
+        out = integrate(rho, ch, t, tail_tol=1e-3)
+        assert np.max(np.abs(out.data - ref)) < 1e-13
+
+    def test_build_matches_dense_squeezer(self):
+        from scipy.linalg import expm
+
+        cutoff = 12
+        p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+        single = a.T @ a.T - a @ a
+        s2 = expm(p.r * (np.kron(a.T, a.T) - np.kron(a, a)))
+        u = np.kron(expm(0.5 * p.z1 * single), expm(0.5 * p.z2 * single)) @ s2
+        w = [(nu / (1 + nu)) ** np.arange(cutoff) for nu in (p.nu1, p.nu2)]
+        ref = (u * np.kron(w[0] / w[0].sum(), w[1] / w[1].sum())) @ u.T
+        rho = build_initial_state(p, cutoff, tail_tol=1e-3)
+        assert np.max(np.abs(rho.data - ref)) < 1e-13
+
+
 class TestMoments:
     def test_vacuum(self):
         rho = build_initial_state(GaussianParams(0.0, 0.0, 0.0), 4)
@@ -324,9 +424,21 @@ class TestHelpers:
         with pytest.raises(ValueError):
             FockDensityMatrix(cutoff=2, data=[[1.0, 0.0], [0.0, 0.0]])
 
-    def test_import_does_not_load_scipy_sparse(self):
+    def test_scipy_loads_only_when_the_oracle_computes(self, tmp_path):
         src = str(Path(fock.__file__).resolve().parents[1])
-        code = "import sys, gaussesd; print('scipy.sparse' in sys.modules)"
+        cfg = tmp_path / "evolve.cfg"
+        cfg.write_text("[state]\nr = 0.5\n[time]\nt_max = 1\nn_points = 3\n")
+        out = tmp_path / "out.csv"
+        code = (
+            "import sys, gaussesd\n"
+            "from gaussesd import cli\n"
+            "print('scipy' in sys.modules)\n"
+            f"cli.main(['evolve', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+            "print('scipy' in sys.modules)\n"
+            "gaussesd.build_initial_state(gaussesd.GaussianParams.tmsv(0.2), 8)\n"
+            "print('scipy' in sys.modules)\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False", "True"]
+        assert out.read_text().startswith("t,")
