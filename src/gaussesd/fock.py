@@ -11,7 +11,8 @@ certifies both.
 All of it is real arithmetic from one truncated ladder a (a' = a^T) on exact
 blocks: damping conserves k = n - m per mode, the two-mode squeezer n1 - n2,
 and both keep the parity of n1 + n2.  The dense :func:`mode_generator` and
-:func:`lindblad_rhs` are the references.  scipy loads only to exponentiate.
+:func:`lindblad_rhs` are the references.  Matrix exponentials are numpy
+matmuls and solves, so the oracle runs on numpy's BLAS alone.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -27,7 +28,7 @@ import numpy as np
 from .channel import ChannelParams
 from .config import MAX_CUTOFF
 from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, OracleError, StepTooLarge
-from .states import CovarianceMatrix, GaussianParams
+from .states import CovarianceMatrix, GaussianParams, _require_finite
 
 __all__ = ["FockDensityMatrix", "build_initial_state", "lindblad_rhs", "mode_generator",
            "mode_propagator", "integrate", "moments", "in_certified_domain", "CERTIFIED_DOMAIN"]
@@ -142,11 +143,44 @@ def _tridiagonal(cutoff: int, diag, up: float, down: float) -> np.ndarray:
     return gen
 
 
+# degree-13 Pade coefficients b_0..b_13 and the 1-norm theta_13 up to which
+# the approximant's backward error stays below the double unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); divided by b_0 so
+# that V = I and U = 0 for a zero matrix, whose exponential is then exactly I
+_PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+                    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0,
+                    1.0]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
+
+
+def _expm(stack: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (k, n, n) stack by degree-13 Pade with scaling
+    and squaring (Higham 2005): each matrix is scaled by 2^-s to 1-norm at
+    most theta_13, the whole stack goes through one Pade step of matmuls and
+    one solve, and each result is squared s times."""
+    _, s = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s, 0)  # norm / 2^s < theta_13; a zero matrix gets s = 0
+    a = np.ldexp(stack, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(stack.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    e = np.linalg.solve(v - u, v + u)
+    for i in range(s.max()):
+        sq = s > i
+        e[sq] = e[sq] @ e[sq]
+    return e
+
+
 def _expm_blocks(gen: np.ndarray) -> np.ndarray:
-    """exp of each block (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)),
-    mirrored to j = 1 - c..c - 1 at index j + c - 1: block -j equals block j."""
-    from scipy.linalg import expm
-    e = expm(gen)
+    """exp of each block by :func:`_expm`, mirrored to j = 1 - c..c - 1 at
+    index j + c - 1: block -j equals block j."""
+    e = _expm(gen)
     return np.concatenate((e[:0:-1], e))
 
 
@@ -173,12 +207,11 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     blocks.  Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
     CutoffInsufficient when the tail population exceeds ``tail_tol``.
     """
-    from scipy.linalg import expm
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
     a = _ladder(cutoff)
     ada = a.T @ a.T - a @ a
-    u1, u2 = expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
+    u1, u2 = _expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
     u = np.kron(u1, u2)
     s2 = _expm_blocks(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
     for sel, b in zip(_diagonals(cutoff), s2):  # u @ S2, block by block
@@ -283,6 +316,7 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     validated: symmetry, unit trace, positivity and the tail bound
     (CutoffInsufficient if the bath heats the state past the cutoff).
     """
+    t = _require_finite("time", t)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if t == 0:

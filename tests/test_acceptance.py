@@ -281,8 +281,9 @@ def test_criterion_8_oracle_equivalence_grid():
         for z in (0.0, 0.2, 0.4)
         for nb in (0.0, 0.25, 0.5)
     ]
-    # serial: the propagator is bound by BLAS matmuls, which already use the
-    # cores; a process pool on top oversubscribes them
+    # serial: the whole grid takes about 2 s on 2 cores, too little for a
+    # process pool's start-up and imports to pay for themselves (a 2-worker
+    # spawn pool took 4.3-5.5 s against 2.2-2.9 s serial)
     deviations = [_criterion8_case(case) for case in cases]
     worst = max(deviations)
     elapsed = time.perf_counter() - t0

@@ -194,6 +194,13 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="time must be >= 0"):
             integrate(rho, ChannelParams.symmetric(0.2), -1e-9)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        # checked before any arithmetic: no inf * 0 warning, and the error names the time
+        rho = build_initial_state(GaussianParams.tmsv(0.4), 12)
+        with pytest.raises(ValueError, match="time must be finite"):
+            integrate(rho, ChannelParams.symmetric(0.2), t)
+
     def test_matches_closed_form_tmsv(self):
         # primary oracle-equivalence check at gamma t = 1
         p = GaussianParams.tmsv(0.5)
@@ -335,6 +342,41 @@ class TestBlocks:
         assert np.max(np.abs(rho.data - ref)) < 1e-13
 
 
+class TestExpm:
+    """fock._expm against scipy.linalg.expm as an independent dense reference."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5])
+    def test_damping_blocks_match_scipy_in_certified_domain(self, gamma):
+        from scipy.linalg import expm
+
+        worst = 0.0
+        for cutoff in range(2, 33):
+            for nb in (0.0, 0.25, 0.5):
+                for gt in (1e-3, 0.1, 0.5, 1.0, 2.0):
+                    gen = (gt / gamma) * fock._mode_blocks(gamma, nb, cutoff)
+                    worst = max(worst, np.max(np.abs(fock._expm(gen) - expm(gen))))
+        assert worst < 1e-13
+
+    def test_damping_blocks_match_scipy_outside_certified_domain(self):
+        from scipy.linalg import expm
+
+        gen = 200.0 * fock._mode_blocks(0.5, 2.0, 32)  # gamma t = 100
+        assert np.max(np.abs(fock._expm(gen) - expm(gen))) < 1e-11
+
+    @pytest.mark.parametrize("z", [0.4, 1.0, 2.0])
+    def test_squeezers_are_orthogonal(self, z):
+        cutoff = 32
+        a = fock._ladder(cutoff)
+        single = 0.5 * z * (a.T @ a.T - a @ a)
+        two_mode = fock._tridiagonal(cutoff, lambda n, m: 0.0, -z, z)
+        for u in (fock._expm(np.stack([single, -single])), fock._expm(two_mode)):
+            assert np.max(np.abs(u @ u.transpose(0, 2, 1) - np.eye(cutoff))) < 1e-13
+
+    def test_zero_stack_gives_exact_identity(self):
+        e = fock._expm(np.zeros((3, 5, 5)))
+        assert np.array_equal(e, np.broadcast_to(np.eye(5), (3, 5, 5)))
+
+
 class TestMoments:
     def test_vacuum(self):
         rho = build_initial_state(GaussianParams(0.0, 0.0, 0.0), 4)
@@ -424,21 +466,26 @@ class TestHelpers:
         with pytest.raises(ValueError):
             FockDensityMatrix(cutoff=2, data=[[1.0, 0.0], [0.0, 0.0]])
 
-    def test_scipy_loads_only_when_the_oracle_computes(self, tmp_path):
+    def test_scipy_never_loads(self, tmp_path):
         src = str(Path(fock.__file__).resolve().parents[1])
         cfg = tmp_path / "evolve.cfg"
         cfg.write_text("[state]\nr = 0.5\n[time]\nt_max = 1\nn_points = 3\n")
         out = tmp_path / "out.csv"
         code = (
-            "import sys, gaussesd\n"
+            "import io, sys, contextlib, gaussesd\n"
             "from gaussesd import cli\n"
             "print('scipy' in sys.modules)\n"
             f"cli.main(['evolve', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
             "print('scipy' in sys.modules)\n"
-            "gaussesd.build_initial_state(gaussesd.GaussianParams.tmsv(0.2), 8)\n"
+            "rho = gaussesd.build_initial_state(gaussesd.GaussianParams.tmsv(0.2), 8)\n"
             "print('scipy' in sys.modules)\n"
+            "gaussesd.integrate(rho, gaussesd.ChannelParams.symmetric(0.2), 1.0)\n"
+            "print('scipy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['oracle-check'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.split() == ["False", "False", "True"]
+        assert proc.stdout.split() == ["False"] * 4 + ["0", "False"]
         assert out.read_text().startswith("t,")
