@@ -151,13 +151,8 @@ def _oracle_single(p, ch, times, cutoff, tail_tol):
     """Integrate one configuration, returning rows (t, per-moment deviation,
     max deviation) against the closed-form evolution."""
     rows = []
-    rho = fock.build_initial_state(p, cutoff, tail_tol=tail_tol)
-    t_prev = 0.0
     worst = 0.0
-    for t in times:
-        rho = fock.integrate(rho, ch, t - t_prev, tail_tol=tail_tol)
-        t_prev = t
-        got = fock.moments(rho)
+    for t, got, _ in fock.chain(p, ch, times, cutoff, tail_tol):
         want = evolve(p, ch, t)
         devs = [abs(g - w) for g, w in zip(astuple(got), astuple(want))]
         worst = max(worst, max(devs))

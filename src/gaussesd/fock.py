@@ -14,6 +14,13 @@ and both keep the parity of n1 + n2.  The dense :func:`mode_generator` and
 :func:`lindblad_rhs` are the references.  Matrix exponentials are numpy
 matmuls and solves, so the oracle runs on numpy's BLAS alone.
 
+Each propagated state is checked before it is returned.  The same step taken
+as two half steps, from their own exponentials, must give the same moments;
+those are read in the Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho),
+by propagating the six moment observables backward instead of the state.
+The state must be symmetric with unit trace and positive, which a Cholesky
+factorisation tests; eigenvalues are computed only to report a failure.
+
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
 the cutoff is declared insufficient.
@@ -21,7 +28,8 @@ the cutoff is declared insufficient.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +39,8 @@ from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, OracleError,
 from .states import CovarianceMatrix, GaussianParams, _require_finite
 
 __all__ = ["FockDensityMatrix", "build_initial_state", "lindblad_rhs", "mode_generator",
-           "mode_propagator", "integrate", "moments", "in_certified_domain", "CERTIFIED_DOMAIN"]
+           "mode_propagator", "integrate", "moments", "chain", "in_certified_domain",
+           "CERTIFIED_DOMAIN"]
 
 TAIL_TOL = 1e-6
 
@@ -96,8 +105,15 @@ class FockDensityMatrix:
     def validate(self, tail_tol: float = TAIL_TOL) -> None:
         """Symmetry to 1e-10 (Hermiticity of a real matrix), unit trace to
         1e-8 and eigenvalues >= -1e-8 (else OracleError), tail below
-        tail_tol (else CutoffInsufficient).  Eigenvalues come from the two
-        parity blocks of n1 + n2 when all entries between them are 0."""
+        tail_tol (else CutoffInsufficient).
+
+        Positivity is tested on the two parity blocks of n1 + n2 when all
+        entries between them are 0, else on the whole matrix: a block passes
+        when its Cholesky factorisation with 1e-8 added to the diagonal
+        succeeds, that is when it is definite (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., ch. 10).  Only when one
+        fails are the eigenvalues computed; the smallest must then be below
+        -1e-8 to raise, and the message names it."""
         asym = float(np.max(np.abs(self.data - self.data.T)))
         if asym > 1e-10:
             raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
@@ -110,9 +126,14 @@ class FockDensityMatrix:
         m = self.data.take(order, axis=0).take(order, axis=1)
         cross = np.any(m[:h, h:]) or np.any(m[h:, :h])
         blocks = [self.data] if cross else [m[:h, :h], m[h:, h:]]
-        min_eig = float(min(np.linalg.eigvalsh(b).min() for b in blocks))
-        if min_eig < -1e-8:
-            raise OracleError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
+        try:
+            for b in blocks:
+                np.linalg.cholesky(b + 1e-8 * np.eye(len(b)))
+        except np.linalg.LinAlgError:
+            min_eig = float(min(np.linalg.eigvalsh(b).min() for b in blocks))
+            if min_eig < -1e-8:
+                raise OracleError(
+                    f"density matrix not positive: min eigenvalue {min_eig:.3e}") from None
         tail = self.tail_population()
         if tail > tail_tol:
             raise CutoffInsufficient(
@@ -127,7 +148,8 @@ def _ladder(cutoff: int) -> np.ndarray:
 
 def _diagonals(cutoff: int) -> tuple[np.ndarray, ...]:
     """Indices n * cutoff + m of each diagonal k = n - m, k = 1 - cutoff up."""
-    return tuple(np.flatnonzero(np.eye(cutoff, k=-k)) for k in range(1 - cutoff, cutoff))
+    index = np.arange(cutoff * cutoff).reshape(cutoff, cutoff)
+    return tuple(np.diagonal(index, -k) for k in range(1 - cutoff, cutoff))
 
 
 def _tridiagonal(cutoff: int, diag, up: float, down: float) -> np.ndarray:
@@ -302,6 +324,47 @@ def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _moment_ops(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+    """(op1, op2, sign) of each moment of :func:`moments`, in
+    CovarianceMatrix order: the moment is sign tr((op1 (x) op2) rho)."""
+    a = _ladder(cutoff)
+    eye = np.eye(cutoff)
+    num, aa = a.T @ a, a @ a
+    return ((num, eye, 1.0), (eye, num, 1.0), (aa, eye, -1.0), (eye, aa, -1.0),
+            (a, a.T, -1.0), (a, a, 1.0))
+
+
+def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The six moments, in CovarianceMatrix order, of the state that the
+    steps (F1, F2) make of y, each F1 y F2^T in turn, for y in block order
+    and F1, F2 as :func:`mode_propagator` blocks; of y itself with no steps.
+
+    They are read in the Heisenberg picture.  tr((A (x) B) rho) = u^T X v
+    with u = vec(A^T), v = vec(B^T) on the regrouped X (see :func:`moments`),
+    so the observables go backward through the steps instead of the state
+    forward, u <- F1^T u and v <- F2^T v, and each moment is sign u^T y v.
+    The observables change n - m by at most 2, so only blocks k = 0, +-1,
+    +-2 are non-zero: only those are propagated, and only their rows and
+    columns of y are read.
+    """
+    c = math.isqrt(len(y))
+    sizes = c - np.abs(np.arange(1 - c, c))
+    bounds = np.cumsum(np.r_[0, sizes])
+    near = range(max(c - 3, 0), min(c + 2, 2 * c - 1))  # k = -2..2 at index k + c - 1
+    lo, hi = bounds[near.start], bounds[near.stop]
+    order = np.concatenate(_diagonals(c))[lo:hi]
+    ops = _moment_ops(c)
+    u = np.stack([op1.T.ravel()[order] for op1, _, _ in ops], axis=1)
+    v = np.stack([op2.T.ravel()[order] for _, op2, _ in ops], axis=1)
+    for f1, f2 in reversed(steps):
+        for i in near:
+            rows, s = slice(bounds[i] - lo, bounds[i + 1] - lo), sizes[i]
+            u[rows] = f1[i, :s, :s].T @ u[rows]
+            v[rows] = f2[i, :s, :s].T @ v[rows]
+    sign = np.array([op[2] for op in ops])
+    return sign * np.sum(u * (y[lo:hi, lo:hi] @ v), axis=0)
+
+
 def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
               tail_tol: float = TAIL_TOL) -> FockDensityMatrix:
     """Exact propagation of the master equation up to t.
@@ -311,10 +374,13 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     regrouped as X[(n1 m1), (n2 m2)].  One gather puts X in k1 / k2 block
     order, E1 and E2 apply as 2 cutoff - 1 block matmuls per side, and one
     scatter returns the result.  It is accepted only if the split
-    E(t/2) E(t/2) rho, from its own matrix exponentials, gives every moment
-    to within 1e-6 (StepTooLarge otherwise).  The returned state is
-    validated: symmetry, unit trace, positivity and the tail bound
-    (CutoffInsufficient if the bath heats the state past the cutoff).
+    E(t/2) E(t/2), from its own matrix exponentials, gives every moment to
+    within 1e-6 (StepTooLarge otherwise).  Both sets of moments are read in
+    block order by :func:`_block_moments`, the split ones by propagating the
+    six observables backward through the half steps instead of the state
+    forward.  The returned state is validated: symmetry, unit trace,
+    positivity (a Cholesky test) and the tail bound (CutoffInsufficient if
+    the bath heats the state past the cutoff).
     """
     t = _require_finite("time", t)
     if t < 0:
@@ -330,20 +396,16 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     lv, lm = np.divmod(np.concatenate(_diagonals(n)), n)
     flat = (lv * n**3 + lm * n)[:, None] + (lv * n**2 + lm)[None, :]
     y = rho0.data.take(flat)
+    x = _apply(e1, e2, y)
 
-    def state(x: np.ndarray) -> FockDensityMatrix:
-        data = np.empty(n**4)
-        data[flat] = x
-        return FockDensityMatrix(cutoff=n, data=data.reshape(n * n, n * n))
-
-    out = state(_apply(e1, e2, y))
-    split = state(_apply(h1, h2, _apply(h1, h2, y)))
-
-    diff = max(abs(u - v) for u, v in zip(astuple(moments(out)), astuple(moments(split))))
+    diff = float(np.max(np.abs(_block_moments(x) - _block_moments(y, (h1, h2), (h1, h2)))))
     if not diff < 1e-6:
         raise StepTooLarge(
             f"propagating in two halves changes final moments by {diff:.3e} (>= 1e-6)"
         )
+    data = np.empty(n**4)
+    data[flat] = x
+    out = FockDensityMatrix(cutoff=n, data=data.reshape(n * n, n * n))
     out.validate(tail_tol=tail_tol)
     return out
 
@@ -355,15 +417,22 @@ def moments(rho: FockDensityMatrix) -> CovarianceMatrix:
     tr((A (x) B) rho) = vec(A^T) . X . vec(B^T) on the regrouped
     X[(n1 m1), (n2 m2)], with row-major vec.
     """
-    n = rho.cutoff
-    a = _ladder(n)
-    eye = np.eye(n)
-    x = _regroup(rho.data, n)
-
-    def tr(op1: np.ndarray, op2: np.ndarray) -> float:
-        return float(op1.T.ravel() @ x @ op2.T.ravel())
-
-    num = a.T @ a
+    x = _regroup(rho.data, rho.cutoff)
     # CovarianceMatrix clamps occupations that rounding pushed below zero
-    return CovarianceMatrix(n1=tr(num, eye), n2=tr(eye, num), m1=-tr(a @ a, eye),
-                            m2=-tr(eye, a @ a), ms=-tr(a, a.T), mc=tr(a, a))
+    return CovarianceMatrix(*(sign * float(op1.T.ravel() @ x @ op2.T.ravel())
+                              for op1, op2, sign in _moment_ops(rho.cutoff)))
+
+
+def chain(p: GaussianParams, ch: ChannelParams, times, cutoff: int,
+          tail_tol: float = TAIL_TOL) -> list[tuple[float, CovarianceMatrix, float]]:
+    """Build the initial state once and propagate it through ``times`` in
+    turn (each :func:`integrate` runs over t - t_prev, from 0), returning
+    (t, moments, tail population) at each time."""
+    rho = build_initial_state(p, cutoff, tail_tol=tail_tol)
+    out = []
+    t_prev = 0.0
+    for t in times:
+        rho = integrate(rho, ch, t - t_prev, tail_tol=tail_tol)
+        t_prev = t
+        out.append((t, moments(rho), rho.tail_population()))
+    return out

@@ -36,7 +36,7 @@ from gaussesd import (
     t_esd_analytic_symmetric,
     t_esd_numeric,
 )
-from gaussesd.fock import build_initial_state, integrate, moments
+from gaussesd.fock import chain
 from conftest import MOMENT_FIELDS
 
 Z_STAR = 0.5 * math.acosh(math.exp(2.0))  # ESD boundary in z at r0 = 1
@@ -253,18 +253,13 @@ def _criterion8_case(args):
     z, r, nb = args
     p = GaussianParams.symmetric(z, r)
     ch = ChannelParams.symmetric(GAMMA_C8, nb)
+    times = [gamma_t / GAMMA_C8 for gamma_t in GAMMA_T_C8]
     # strict tail gate (1e-6) rejects the (r=0.6, z=0.4) corner at cutoff 20
     # (tail ~2.5e-5) even though the moments there are good to ~2e-4, so the
     # gate is relaxed to 1e-3 for this suite; the deviation assert below is
     # the binding accuracy requirement
-    rho = build_initial_state(p, 20, tail_tol=1e-3)
     worst = 0.0
-    t_prev = 0.0
-    for gamma_t in GAMMA_T_C8:
-        t = gamma_t / GAMMA_C8
-        rho = integrate(rho, ch, t - t_prev, tail_tol=1e-3)
-        t_prev = t
-        got = moments(rho)
+    for t, got, _ in chain(p, ch, times, 20, tail_tol=1e-3):
         want = evolve(p, ch, t)
         worst = max(
             worst,
@@ -281,9 +276,9 @@ def test_criterion_8_oracle_equivalence_grid():
         for z in (0.0, 0.2, 0.4)
         for nb in (0.0, 0.25, 0.5)
     ]
-    # serial: the whole grid takes about 2 s on 2 cores, too little for a
+    # serial: the whole grid takes about 1.6 s on 2 cores, too little for a
     # process pool's start-up and imports to pay for themselves (a 2-worker
-    # spawn pool took 4.3-5.5 s against 2.2-2.9 s serial)
+    # spawn pool took 4.3-5.5 s when the serial grid took 2.2-2.9 s)
     deviations = [_criterion8_case(case) for case in cases]
     worst = max(deviations)
     elapsed = time.perf_counter() - t0

@@ -113,6 +113,32 @@ class TestBuildInitialState:
         with pytest.raises(OracleError, match=re.escape("not positive: min eigenvalue -1.500e-01")):
             rho.validate(tail_tol=1.0)
 
+    @pytest.mark.parametrize("cross", [False, True], ids=["parity-blocks", "whole-matrix"])
+    @pytest.mark.parametrize("lowest", [-0.99e-8, -1.01e-8])
+    def test_positivity_boundary(self, rng, monkeypatch, cross, lowest):
+        # the eigenvalue floor is -1e-8 on both paths: the Cholesky test
+        # alone passes -0.99e-8, and the eigenvalue fallback rejects -1.01e-8
+        cutoff = 3
+        parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel() % 2
+        eigs = {0: [0.4, 0.2, 0.1, 0.1, 0.0], 1: [0.1 - lowest, 0.1, 0.0, lowest]}  # trace 1
+        if cross:
+            q, _ = np.linalg.qr(rng.normal(size=(cutoff**2, cutoff**2)))
+            data = (q * (eigs[0] + eigs[1])) @ q.T
+        else:
+            data = np.zeros((cutoff**2, cutoff**2))
+            for par in (0, 1):
+                sel = np.flatnonzero(parity == par)
+                q, _ = np.linalg.qr(rng.normal(size=(len(sel), len(sel))))
+                data[np.ix_(sel, sel)] = (q * eigs[par]) @ q.T
+        rho = FockDensityMatrix(cutoff=cutoff, data=0.5 * (data + data.T))
+        assert np.any(rho.data[np.ix_(parity == 0, parity == 1)]) == cross
+        if lowest < -1e-8:
+            with pytest.raises(OracleError, match=re.escape("min eigenvalue -1.010e-08")):
+                rho.validate(tail_tol=1.0)
+        else:
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda b: pytest.fail("eigvalsh ran"))
+            rho.validate(tail_tol=1.0)
+
     def test_parity_blocks_accept_a_built_state(self):
         rho = build_initial_state(GaussianParams(0.2, -0.1, 0.4, 0.1, 0.2), 12, tail_tol=1e-3)
         parity = np.add.outer(np.arange(12), np.arange(12)).ravel() % 2
@@ -257,6 +283,18 @@ class TestIntegrate:
         with pytest.raises(CutoffInsufficient):
             integrate(rho, ChannelParams.symmetric(0.3, 3.0), 12.0)
 
+    def test_chain_is_the_integrate_loop(self):
+        p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
+        ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
+        times = [0.5, 1.5, 3.0]
+        rho = build_initial_state(p, 12, tail_tol=1e-3)
+        t_prev = 0.0
+        for t, cm, tail in fock.chain(p, ch, times, 12, tail_tol=1e-3):
+            rho = integrate(rho, ch, t - t_prev, tail_tol=1e-3)
+            t_prev = t
+            assert cm == moments(rho) and tail == rho.tail_population()
+        assert t_prev == times[-1]
+
     def test_real_storage(self):
         rho = build_initial_state(GaussianParams.tmsv(0.4), 12)
         out = integrate(rho, ChannelParams(0.2, 0.4, 0.3, 0.1), 1.0, tail_tol=1e-3)
@@ -326,6 +364,26 @@ class TestBlocks:
         ref = regroup(e1 @ regroup(rho.data, cutoff) @ e2.T, cutoff)
         out = integrate(rho, ch, t, tail_tol=1e-3)
         assert np.max(np.abs(out.data - ref)) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [8, 12, 20])
+    def test_split_gate_moments_match_propagated_state(self, cutoff):
+        # the gate reads y and H1 H1 y H2' H2' through backward-propagated
+        # observables; the reference propagates the state itself, scatters
+        # it back and reads moments()
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
+        h1, h2 = (fock.mode_propagator(g, nb, cutoff, 1.25)
+                  for g, nb in ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2)))
+        rho = build_initial_state(p, cutoff, tail_tol=1.0)
+        order = [i for k in range(1 - cutoff, cutoff) for i in diagonal_indices(cutoff, k)]
+        y = regroup(rho.data, cutoff)[np.ix_(order, order)]
+        x = np.empty_like(y)
+        x[np.ix_(order, order)] = fock._apply(h1, h2, fock._apply(h1, h2, y))
+        split = FockDensityMatrix(cutoff=cutoff, data=regroup(x, cutoff))
+        for state, got in ((rho, fock._block_moments(y)),
+                           (split, fock._block_moments(y, (h1, h2), (h1, h2)))):
+            want = np.array([getattr(moments(state), f) for f in MOMENT_FIELDS])
+            assert np.max(np.abs(got - want)) < 1e-13
 
     def test_build_matches_dense_squeezer(self):
         from scipy.linalg import expm
