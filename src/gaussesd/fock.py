@@ -10,16 +10,22 @@ certifies both.
 
 All of it is real arithmetic from one truncated ladder a (a' = a^T) on exact
 blocks: damping conserves k = n - m per mode, the two-mode squeezer n1 - n2,
-and both keep the parity of n1 + n2.  The dense :func:`mode_generator` and
-:func:`lindblad_rhs` are the references.  Matrix exponentials are numpy
-matmuls and solves, so the oracle runs on numpy's BLAS alone.
+and both keep the parity of n1 + n2.  The tests hold the dense references:
+the master equation written out on whole matrices.  Matrix exponentials are
+numpy matmuls and solves, so the oracle runs on numpy's BLAS alone.
 
 Each propagated state is checked before it is returned.  The same step taken
-as two half steps, from their own exponentials, must give the same moments;
-those are read in the Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho),
-by propagating the six moment observables backward instead of the state.
-The state must be symmetric with unit trace and positive, which a Cholesky
-factorisation tests; eigenvalues are computed only to report a failure.
+as two half steps must give the same moments; those are read in the
+Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho), by propagating the six
+moment observables backward instead of the state.  One exponential gives both
+steps: where E(t) is squared, E(t/2) is its value before the last squaring,
+so E(t/2)^2 equals E(t) bit for bit and the gate checks the block arithmetic
+(gather, block matmuls, backward-propagated observables); unsquared blocks
+get a Pade step of their own for E(t/2).  The tests tie the Pade step to
+scipy's expm and, by the short-time derivative, to the dense master
+equation.  The state must be symmetric with unit trace and positive, which
+a Cholesky factorisation tests; eigenvalues are computed only to report a
+failure.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -28,6 +34,7 @@ the cutoff is declared insufficient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +45,8 @@ from .config import MAX_CUTOFF
 from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, OracleError, StepTooLarge
 from .states import CovarianceMatrix, GaussianParams, _require_finite
 
-__all__ = ["FockDensityMatrix", "build_initial_state", "lindblad_rhs", "mode_generator",
-           "mode_propagator", "integrate", "moments", "chain", "in_certified_domain",
-           "CERTIFIED_DOMAIN"]
+__all__ = ["FockDensityMatrix", "build_initial_state", "mode_propagator", "integrate",
+           "moments", "chain", "in_certified_domain", "CERTIFIED_DOMAIN"]
 
 TAIL_TOL = 1e-6
 
@@ -114,18 +120,21 @@ class FockDensityMatrix:
         Stability of Numerical Algorithms*, 2nd ed., ch. 10).  Only when one
         fails are the eigenvalues computed; the smallest must then be below
         -1e-8 to raise, and the message names it."""
-        asym = float(np.max(np.abs(self.data - self.data.T)))
-        if asym > 1e-10:
+        d = self.data
+        # d - d^T is exactly antisymmetric in floating point, so its maximum
+        # is its largest modulus; each gate is written so that NaN fails it
+        asym = float(np.max(d - d.T))
+        if not asym <= 1e-10:
             raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
-        tr = float(np.trace(self.data))
-        if abs(tr - 1.0) > 1e-8:
+        tr = float(np.trace(d))
+        if not abs(tr - 1.0) <= 1e-8:
             raise OracleError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         n = np.arange(self.cutoff)
-        order = np.argsort(np.add.outer(n, n).ravel() % 2, kind="stable")
-        h = (self.cutoff**2 + 1) // 2  # even n1 + n2 first
-        m = self.data.take(order, axis=0).take(order, axis=1)
-        cross = np.any(m[:h, h:]) or np.any(m[h:, :h])
-        blocks = [self.data] if cross else [m[:h, :h], m[h:, h:]]
+        parity = np.add.outer(n, n).ravel() % 2
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        rows_even, rows_odd = d.take(even, axis=0), d.take(odd, axis=0)
+        cross = np.any(rows_even.take(odd, axis=1)) or np.any(rows_odd.take(even, axis=1))
+        blocks = [d] if cross else [rows_even.take(even, axis=1), rows_odd.take(odd, axis=1)]
         try:
             for b in blocks:
                 np.linalg.cholesky(b + 1e-8 * np.eye(len(b)))
@@ -135,7 +144,7 @@ class FockDensityMatrix:
                 raise OracleError(
                     f"density matrix not positive: min eigenvalue {min_eig:.3e}") from None
         tail = self.tail_population()
-        if tail > tail_tol:
+        if not tail <= tail_tol:
             raise CutoffInsufficient(
                 f"tail population {tail:.3e} exceeds {tail_tol:.1e} at cutoff {self.cutoff}"
             )
@@ -176,11 +185,17 @@ _PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0
 _THETA13 = 5.371920351148152
 
 
-def _expm(stack: np.ndarray) -> np.ndarray:
+def _expm(stack: np.ndarray, half: bool = False):
     """exp of each matrix of a (k, n, n) stack by degree-13 Pade with scaling
     and squaring (Higham 2005): each matrix is scaled by 2^-s to 1-norm at
     most theta_13, the whole stack goes through one Pade step of matmuls and
-    one solve, and each result is squared s times."""
+    one solve, and each result is squared s times.
+
+    With ``half``, returns (exp(A), exp(A / 2)).  Where s >= 1, exp(A / 2) is
+    the value before the last squaring: A / 2 has half the norm, hence s - 1,
+    and 2^-(s-1) A / 2 is bit for bit the Pade input 2^-s A, so that is what
+    a call on A / 2 would return.  Only where s = 0 does A / 2 get a Pade step
+    of its own."""
     _, s = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)
     s = np.maximum(s, 0)  # norm / 2^s < theta_13; a zero matrix gets s = 0
     a = np.ldexp(stack, -s[:, None, None])
@@ -193,16 +208,24 @@ def _expm(stack: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     e = np.linalg.solve(v - u, v + u)
+    h = np.empty_like(e) if half else None
     for i in range(s.max()):
+        if half:
+            last = s == i + 1
+            h[last] = e[last]
         sq = s > i
         e[sq] = e[sq] @ e[sq]
-    return e
+    if not half:
+        return e
+    lone = s == 0
+    if lone.any():
+        h[lone] = _expm(0.5 * stack[lone])
+    return e, h
 
 
-def _expm_blocks(gen: np.ndarray) -> np.ndarray:
-    """exp of each block by :func:`_expm`, mirrored to j = 1 - c..c - 1 at
-    index j + c - 1: block -j equals block j."""
-    e = _expm(gen)
+def _mirror(e: np.ndarray) -> np.ndarray:
+    """Blocks j >= 0 mirrored to j = 1 - c..c - 1 at index j + c - 1: block
+    -j equals block j."""
     return np.concatenate((e[:0:-1], e))
 
 
@@ -235,7 +258,7 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     ada = a.T @ a.T - a @ a
     u1, u2 = _expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
     u = np.kron(u1, u2)
-    s2 = _expm_blocks(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
+    s2 = _mirror(_expm(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r)))
     for sel, b in zip(_diagonals(cutoff), s2):  # u @ S2, block by block
         u[:, sel] = u[:, sel] @ b[: len(sel), : len(sel)]
 
@@ -244,7 +267,7 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     rho = 0.5 * (rho + rho.T)
     state = FockDensityMatrix(cutoff=cutoff, data=rho)
     tail = state.tail_population()
-    if tail > tail_tol:
+    if not tail <= tail_tol:
         raise CutoffInsufficient(
             f"initial-state tail population {tail:.3e} exceeds {tail_tol:.1e} "
             f"at cutoff {cutoff}"
@@ -252,50 +275,12 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     return state
 
 
-def lindblad_rhs(rho: FockDensityMatrix, ch: ChannelParams) -> np.ndarray:
-    """Right-hand side of the master equation,
-
-        sum_i gamma_i (nb_i + 1)(2 a_i rho a_i' - a_i'a_i rho - rho a_i'a_i)
-            + gamma_i nb_i (2 a_i' rho a_i - a_i a_i' rho - rho a_i a_i'),
-
-    as a dense matrix of the same shape, formed directly on the two-mode
-    matrix (independent of :func:`mode_generator`).  Trace-free and symmetry
-    preserving by construction.
-    """
-    a = _ladder(rho.cutoff)
-    eye = np.eye(rho.cutoff)
-    m = rho.data
-    out = np.zeros_like(m)
-    for c, g, nb in ((np.kron(a, eye), ch.gamma1, ch.nb1), (np.kron(eye, a), ch.gamma2, ch.nb2)):
-        for op, rate in ((c, g * (nb + 1.0)), (c.T, g * nb)):
-            if rate > 0.0:
-                cdc = op.T @ op
-                out += rate * (2.0 * op @ m @ op.T - cdc @ m - m @ cdc)
-    return out
-
-
-def mode_generator(gamma: float, nb: float, cutoff: int) -> np.ndarray:
-    """Single-mode master-equation generator (the gamma, nb terms of
-    :func:`lindblad_rhs` for one mode) acting on the row-major vectorized
-    single-mode operator, index n * cutoff + m.  Real, cutoff^2 x cutoff^2."""
-    a = _ladder(cutoff)
-    eye = np.eye(cutoff)
-
-    def dissipator(c: np.ndarray) -> np.ndarray:
-        # 2 c rho c' - c'c rho - rho c'c; row-major vec: vec(A rho B) =
-        # kron(A, B^T) vec(rho), and the operators are real
-        cdc = c.T @ c
-        return 2.0 * np.kron(c, c) - np.kron(cdc, eye) - np.kron(eye, cdc)
-
-    gen = gamma * (nb + 1.0) * dissipator(a)
-    if nb > 0.0:
-        gen += gamma * nb * dissipator(a.T)
-    return gen
-
-
 def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
-    """Blocks k >= 0 of :func:`mode_generator`: 2 a rho a' above the diagonal,
-    2 a' rho a below, number terms on it (the truncated a a' ends in 0)."""
+    """Blocks k >= 0 of the single-mode generator L = gamma (nb + 1) D[a] +
+    gamma nb D[a'], D[c] rho = 2 c rho c' - c'c rho - rho c'c, on the
+    row-major vectorized operator, index n * cutoff + m: 2 a rho a' above the
+    diagonal, 2 a' rho a below, number terms on it (the truncated a a' ends
+    in 0)."""
     def diag(n: np.ndarray, m: np.ndarray) -> np.ndarray:
         aad = np.where(n < cutoff - 1, n + 1.0, 0.0) + np.where(m < cutoff - 1, m + 1.0, 0.0)
         return gamma * (nb + 1.0) * -(n + m) + gamma * nb * -aad
@@ -303,11 +288,11 @@ def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
 
 
 def mode_propagator(gamma: float, nb: float, cutoff: int, t: float) -> np.ndarray:
-    """exp(t L) for the single-mode generator L of :func:`mode_generator`, by
+    """exp(t L) for the single-mode generator L of :func:`_mode_blocks`, by
     its blocks k = n - m, each tridiagonal in the position p along diagonal k:
     a (2 cutoff - 1, cutoff, cutoff) stack whose entry k + cutoff - 1 holds
     exp(t L_k) in its leading cutoff - |k| rows and columns."""
-    return _expm_blocks(t * _mode_blocks(gamma, nb, cutoff))
+    return _mirror(_expm(t * _mode_blocks(gamma, nb, cutoff)))
 
 
 def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -365,6 +350,28 @@ def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.n
     return sign * np.sum(u * (y[lo:hi, lo:hi] @ v), axis=0)
 
 
+def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
+    """((E1(t), E2(t)), (E1(t/2), E2(t/2))), each as :func:`mode_propagator`
+    returns it, from one :func:`_expm` call on both modes' blocks of t L."""
+    gen = np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
+                          _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
+    return tuple((_mirror(m[:cutoff]), _mirror(m[cutoff:])) for m in _expm(t * gen, half=True))
+
+
+@functools.lru_cache(maxsize=1)
+def _block_index(cutoff: int) -> np.ndarray:
+    """Flat index into rho of each entry of y in block order: y[i, j] =
+    rho[(n1 n2), (m1 m2)] with (n1, m1) and (n2, m2) at block-order i and j.
+    The gather and scatter of :func:`integrate`: cutoff^4 entries, read-only,
+    kept for the last cutoff only (8 MB at MAX_CUTOFF), which serves a chain
+    of steps at one cutoff."""
+    n = cutoff
+    lv, lm = np.divmod(np.concatenate(_diagonals(n)), n)
+    flat = (lv * n**3 + lm * n)[:, None] + (lv * n**2 + lm)[None, :]
+    flat.flags.writeable = False
+    return flat
+
+
 def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
               tail_tol: float = TAIL_TOL) -> FockDensityMatrix:
     """Exact propagation of the master equation up to t.
@@ -372,15 +379,17 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     The generator is L1 (x) 1 + 1 (x) L2 with commuting single-mode terms,
     so exp(tL) = exp(tL1) (x) exp(tL2), which acts as E1 X E2^T on rho
     regrouped as X[(n1 m1), (n2 m2)].  One gather puts X in k1 / k2 block
-    order, E1 and E2 apply as 2 cutoff - 1 block matmuls per side, and one
-    scatter returns the result.  It is accepted only if the split
-    E(t/2) E(t/2), from its own matrix exponentials, gives every moment to
+    order (its index is kept from the last call's cutoff), E1 and E2 apply as
+    2 cutoff - 1 block matmuls per side, and one scatter returns the result.
+    It is accepted only if the split E(t/2) E(t/2) gives every moment to
     within 1e-6 (StepTooLarge otherwise).  Both sets of moments are read in
     block order by :func:`_block_moments`, the split ones by propagating the
     six observables backward through the half steps instead of the state
-    forward.  The returned state is validated: symmetry, unit trace,
-    positivity (a Cholesky test) and the tail bound (CutoffInsufficient if
-    the bath heats the state past the cutoff).
+    forward.  E(t) and E(t/2) of both modes come from one :func:`_expm` call;
+    where E(t) is squared, E(t/2) E(t/2) is E(t) bit for bit, so the gate
+    checks the block arithmetic there.  The returned state is validated:
+    symmetry, unit trace, positivity (a Cholesky test) and the tail bound
+    (CutoffInsufficient if the bath heats the state past the cutoff).
     """
     t = _require_finite("time", t)
     if t < 0:
@@ -389,12 +398,8 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
         return FockDensityMatrix(cutoff=rho0.cutoff, data=rho0.data.copy())
 
     n = rho0.cutoff
-    modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-    e1, e2 = (mode_propagator(g, nb, n, t) for g, nb in modes)
-    h1, h2 = (mode_propagator(g, nb, n, 0.5 * t) for g, nb in modes)
-    # y[i, j] = rho[(n1 n2), (m1 m2)], (n1, m1) and (n2, m2) at block-order i, j
-    lv, lm = np.divmod(np.concatenate(_diagonals(n)), n)
-    flat = (lv * n**3 + lm * n)[:, None] + (lv * n**2 + lm)[None, :]
+    (e1, e2), (h1, h2) = _step_propagators(ch, n, t)
+    flat = _block_index(n)
     y = rho0.data.take(flat)
     x = _apply(e1, e2, y)
 

@@ -1,0 +1,57 @@
+"""Dense references for the Fock oracle's block arithmetic.
+
+The master equation written out on whole matrices, with no blocks and no
+matrix exponential: the tests compare :mod:`gaussesd.fock`'s block generators,
+propagators and integrated states against these.
+"""
+
+import numpy as np
+
+from gaussesd import ChannelParams
+from gaussesd.fock import FockDensityMatrix
+
+
+def ladder(cutoff: int) -> np.ndarray:
+    """Truncated single-mode annihilator a; real, so a' = a^T."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+
+
+def lindblad_rhs(rho: FockDensityMatrix, ch: ChannelParams) -> np.ndarray:
+    """Right-hand side of the master equation,
+
+        sum_i gamma_i (nb_i + 1)(2 a_i rho a_i' - a_i'a_i rho - rho a_i'a_i)
+            + gamma_i nb_i (2 a_i' rho a_i - a_i a_i' rho - rho a_i a_i'),
+
+    as a dense matrix of the same shape, formed directly on the two-mode
+    matrix (independent of :func:`mode_generator`).  Trace-free and symmetry
+    preserving by construction.
+    """
+    a = ladder(rho.cutoff)
+    eye = np.eye(rho.cutoff)
+    m = rho.data
+    out = np.zeros_like(m)
+    for c, g, nb in ((np.kron(a, eye), ch.gamma1, ch.nb1), (np.kron(eye, a), ch.gamma2, ch.nb2)):
+        for op, rate in ((c, g * (nb + 1.0)), (c.T, g * nb)):
+            if rate > 0.0:
+                cdc = op.T @ op
+                out += rate * (2.0 * op @ m @ op.T - cdc @ m - m @ cdc)
+    return out
+
+
+def mode_generator(gamma: float, nb: float, cutoff: int) -> np.ndarray:
+    """Single-mode master-equation generator (the gamma, nb terms of
+    :func:`lindblad_rhs` for one mode) acting on the row-major vectorized
+    single-mode operator, index n * cutoff + m.  Real, cutoff^2 x cutoff^2."""
+    a = ladder(cutoff)
+    eye = np.eye(cutoff)
+
+    def dissipator(c: np.ndarray) -> np.ndarray:
+        # 2 c rho c' - c'c rho - rho c'c; row-major vec: vec(A rho B) =
+        # kron(A, B^T) vec(rho), and the operators are real
+        cdc = c.T @ c
+        return 2.0 * np.kron(c, c) - np.kron(cdc, eye) - np.kron(eye, cdc)
+
+    gen = gamma * (nb + 1.0) * dissipator(a)
+    if nb > 0.0:
+        gen += gamma * nb * dissipator(a.T)
+    return gen

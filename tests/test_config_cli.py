@@ -475,12 +475,13 @@ class TestOracleCheckCommand:
     def test_trace_gate_exits_4(self, tmp_path, capsys, monkeypatch):
         # E(s) exp(0.01 s) per mode: the two halves agree, so the split gate
         # passes, but the trace grows to exp(0.02 t)
-        exact = fock.mode_propagator
+        exact = fock._step_propagators
 
-        def growing(gamma, nb, cutoff, s):
-            return exact(gamma, nb, cutoff, s) * math.exp(0.01 * s)
+        def growing(ch, cutoff, t):
+            return tuple(tuple(e * math.exp(0.01 * s) for e in pair)
+                         for pair, s in zip(exact(ch, cutoff, t), (t, 0.5 * t)))
 
-        monkeypatch.setattr(fock, "mode_propagator", growing)
+        monkeypatch.setattr(fock, "_step_propagators", growing)
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text("[state]\nr = 0.4\n[oracle]\ntimes = 2\n")
         assert main(["oracle-check", "--config", str(cfg)]) == 4

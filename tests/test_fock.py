@@ -24,11 +24,10 @@ from gaussesd.fock import (
     build_initial_state,
     in_certified_domain,
     integrate,
-    lindblad_rhs,
-    mode_generator,
     moments,
 )
 from conftest import MOMENT_FIELDS, moment_diff
+from fock_reference import lindblad_rhs, mode_generator
 
 
 def basis_state(n1, n2, cutoff):
@@ -86,6 +85,25 @@ class TestBuildInitialState:
         with pytest.raises(OracleError, match=message) as exc:
             rho.validate(tail_tol=1.0)
         assert not isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)]],
+                             ids=["diagonal", "off-diagonal"])
+    def test_nan_fails_validate(self, entries):
+        # NaN - NaN is NaN, also on the diagonal: the symmetry gate fails first
+        data = np.eye(4) / 4.0
+        for i, j in entries:
+            data[i, j] = np.nan
+        with pytest.raises(OracleError, match="not symmetric: max asymmetry nan"):
+            FockDensityMatrix(cutoff=2, data=data).validate(tail_tol=1.0)
+
+    def test_nan_tail_fails_both_tail_gates(self, monkeypatch):
+        # a NaN on the diagonal fails the symmetry gate first, so the tail gates
+        # are fed a NaN tail directly
+        monkeypatch.setattr(FockDensityMatrix, "tail_population", lambda self: math.nan)
+        with pytest.raises(CutoffInsufficient, match="tail population nan exceeds"):
+            FockDensityMatrix(cutoff=2, data=np.eye(4) / 4.0).validate(tail_tol=1.0)
+        with pytest.raises(CutoffInsufficient, match="initial-state tail population nan"):
+            build_initial_state(GaussianParams(0.0, 0.0, 0.0), 4, tail_tol=1.0)
 
     def test_negative_eigenvalue_in_one_parity_block_rejected(self, rng):
         # cross-parity entries exactly zero, one eigenvalue -0.02 in the odd
@@ -249,17 +267,43 @@ class TestIntegrate:
 
     def test_inconsistent_split_rejected(self, monkeypatch):
         # a 1e-4 error in the half-step factors must trip the split gate
-        exact = fock.mode_propagator
+        exact = fock._step_propagators
         t = 8.0
 
-        def perturbed(gamma, nb, cutoff, s):
-            e = exact(gamma, nb, cutoff, s)
-            return e * (1.0 + 1e-4) if s < t else e
+        def perturbed(ch, cutoff, step):
+            full, half = exact(ch, cutoff, step)
+            return full, tuple(h * (1.0 + 1e-4) for h in half)
 
-        monkeypatch.setattr(fock, "mode_propagator", perturbed)
+        monkeypatch.setattr(fock, "_step_propagators", perturbed)
         rho = build_initial_state(GaussianParams.tmsv(0.4), 16)
         with pytest.raises(StepTooLarge):
             integrate(rho, ChannelParams.symmetric(0.25, 0.5), t)
+
+    @pytest.mark.parametrize("cutoff", [8, 12, 20])
+    def test_one_exponential_per_step_is_the_four_call_reference(self, monkeypatch, cutoff):
+        # E(t) and E(t/2) of both modes from separate mode_propagator calls;
+        # the short step exponentiates every block unsquared (s = 0), the
+        # long one squares some at least once (s >= 1)
+        def four_calls(ch, c, t):
+            modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
+            return tuple(tuple(fock.mode_propagator(g, nb, c, s) for g, nb in modes)
+                         for s in (t, 0.5 * t))
+
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
+        rho = build_initial_state(p, cutoff, tail_tol=1.0)
+        fast = fock._step_propagators
+        norms = []
+        for t in (0.01, 2.0 / 0.3):
+            for mine, ref in zip(fast(ch, cutoff, t), four_calls(ch, cutoff, t)):
+                assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
+            out = integrate(rho, ch, t, tail_tol=1.0)
+            monkeypatch.setattr(fock, "_step_propagators", four_calls)
+            assert np.array_equal(out.data, integrate(rho, ch, t, tail_tol=1.0).data)
+            monkeypatch.setattr(fock, "_step_propagators", fast)
+            norms.append(max(np.abs(t * fock._mode_blocks(g, nb, cutoff)).sum(axis=-2).max()
+                             for g, nb in ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))))
+        assert norms[0] <= fock._THETA13 < norms[1]
 
     def test_split_invariance(self):
         p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
@@ -429,6 +473,22 @@ class TestExpm:
         two_mode = fock._tridiagonal(cutoff, lambda n, m: 0.0, -z, z)
         for u in (fock._expm(np.stack([single, -single])), fock._expm(two_mode)):
             assert np.max(np.abs(u @ u.transpose(0, 2, 1) - np.eye(cutoff))) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [2, 8, 20, 32])
+    def test_half_output_is_the_exponential_of_half(self, cutoff):
+        # where a matrix is squared at least once (s >= 1), exp(A / 2) is its
+        # chain before the last squaring and bit for bit what a call on A / 2
+        # returns; where s = 0 it is that call
+        from scipy.linalg import expm
+
+        stack = np.concatenate([(gt / 0.25) * fock._mode_blocks(0.25, nb, cutoff)
+                                for gt in (1e-3, 0.5, 2.0) for nb in (0.0, 0.5)])
+        squared = np.abs(stack).sum(axis=-2).max(axis=-1) > fock._THETA13
+        e, h = fock._expm(stack, half=True)
+        assert np.array_equal(e, fock._expm(stack))
+        assert np.array_equal(h, fock._expm(0.5 * stack))
+        assert np.max(np.abs(h - expm(0.5 * stack))) < 1e-13
+        assert np.any(squared) and not np.all(squared)
 
     def test_zero_stack_gives_exact_identity(self):
         e = fock._expm(np.zeros((3, 5, 5)))
