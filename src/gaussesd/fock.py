@@ -10,11 +10,12 @@ certifies both.
 
 All of it is real arithmetic from one truncated ladder a (a' = a^T) on exact
 blocks: damping conserves k = n - m per mode, the two-mode squeezer n1 - n2,
-and both keep the parity of n1 + n2.  The tests hold the dense references:
-the master equation written out on whole matrices.  Matrix exponentials are
-numpy matmuls and solves, so the oracle runs on numpy's BLAS alone.
+and both keep the parity of n1 + n2.  Block -k equals block k, so a block
+stack holds k >= 0 only.  The tests hold the dense references: the master
+equation written out on whole matrices.  Matrix exponentials are numpy
+matmuls and solves, so the oracle runs on numpy's BLAS alone.
 
-Each propagated state is checked before it is returned.  The same step taken
+Every propagated state, a zero step's too, is checked.  The same step taken
 as two half steps must give the same moments; those are read in the
 Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho), by propagating the six
 moment observables backward instead of the state.  One exponential gives both
@@ -45,8 +46,8 @@ from .config import MAX_CUTOFF
 from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, OracleError, StepTooLarge
 from .states import CovarianceMatrix, GaussianParams, _require_finite
 
-__all__ = ["FockDensityMatrix", "build_initial_state", "mode_propagator", "integrate",
-           "moments", "chain", "in_certified_domain", "CERTIFIED_DOMAIN"]
+__all__ = ["FockDensityMatrix", "build_initial_state", "integrate", "moments", "chain",
+           "in_certified_domain", "CERTIFIED_DOMAIN"]
 
 TAIL_TOL = 1e-6
 
@@ -223,12 +224,6 @@ def _expm(stack: np.ndarray, half: bool = False):
     return e, h
 
 
-def _mirror(e: np.ndarray) -> np.ndarray:
-    """Blocks j >= 0 mirrored to j = 1 - c..c - 1 at index j + c - 1: block
-    -j equals block j."""
-    return np.concatenate((e[:0:-1], e))
-
-
 def _regroup(m: np.ndarray, n: int) -> np.ndarray:
     """rho[(n1 n2), (m1 m2)] -> X[(n1 m1), (n2 m2)]; its own inverse."""
     return np.ascontiguousarray(m.reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(n * n, n * n)
@@ -258,9 +253,9 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     ada = a.T @ a.T - a @ a
     u1, u2 = _expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
     u = np.kron(u1, u2)
-    s2 = _mirror(_expm(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r)))
-    for sel, b in zip(_diagonals(cutoff), s2):  # u @ S2, block by block
-        u[:, sel] = u[:, sel] @ b[: len(sel), : len(sel)]
+    s2 = _expm(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
+    for sel in _diagonals(cutoff):  # u @ S2, block by block; block -k is block k
+        u[:, sel] = u[:, sel] @ s2[cutoff - len(sel), : len(sel), : len(sel)]
 
     w = np.kron(_thermal_weights(p.nu1, cutoff), _thermal_weights(p.nu2, cutoff))
     rho = (u * w) @ u.T
@@ -287,25 +282,19 @@ def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     return _tridiagonal(cutoff, diag, 2.0 * gamma * (nb + 1.0), 2.0 * gamma * nb)
 
 
-def mode_propagator(gamma: float, nb: float, cutoff: int, t: float) -> np.ndarray:
-    """exp(t L) for the single-mode generator L of :func:`_mode_blocks`, by
-    its blocks k = n - m, each tridiagonal in the position p along diagonal k:
-    a (2 cutoff - 1, cutoff, cutoff) stack whose entry k + cutoff - 1 holds
-    exp(t L_k) in its leading cutoff - |k| rows and columns."""
-    return _mirror(_expm(t * _mode_blocks(gamma, nb, cutoff)))
-
-
 def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F1 y F2^T for y in block order and F1, F2 as :func:`mode_propagator`
-    blocks: one small matmul per block on its rows, then on its columns."""
+    """F1 y F2^T for y in block order and F1, F2 block stacks as in
+    :func:`_step_propagators`: one small matmul per block on its rows, then on
+    its columns."""
     c = f1.shape[-1]
-    bounds = np.cumsum(np.r_[0, c - np.abs(np.arange(1 - c, c))])
+    ks = np.abs(np.arange(1 - c, c))
+    bounds = np.cumsum(np.r_[0, c - ks])
     left = np.empty_like(y)
-    for lo, hi, b in zip(bounds, bounds[1:], f1):
-        left[lo:hi] = b[: hi - lo, : hi - lo] @ y[lo:hi]
+    for lo, hi, k in zip(bounds, bounds[1:], ks):
+        left[lo:hi] = f1[k, : hi - lo, : hi - lo] @ y[lo:hi]
     out = np.empty_like(y)
-    for lo, hi, b in zip(bounds, bounds[1:], f2):
-        out[:, lo:hi] = left[:, lo:hi] @ b[: hi - lo, : hi - lo].T
+    for lo, hi, k in zip(bounds, bounds[1:], ks):
+        out[:, lo:hi] = left[:, lo:hi] @ f2[k, : hi - lo, : hi - lo].T
     return out
 
 
@@ -322,7 +311,8 @@ def _moment_ops(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]
 def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The six moments, in CovarianceMatrix order, of the state that the
     steps (F1, F2) make of y, each F1 y F2^T in turn, for y in block order
-    and F1, F2 as :func:`mode_propagator` blocks; of y itself with no steps.
+    and F1, F2 block stacks as in :func:`_step_propagators`; of y itself
+    with no steps.
 
     They are read in the Heisenberg picture.  tr((A (x) B) rho) = u^T X v
     with u = vec(A^T), v = vec(B^T) on the regrouped X (see :func:`moments`),
@@ -333,8 +323,8 @@ def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.n
     columns of y are read.
     """
     c = math.isqrt(len(y))
-    sizes = c - np.abs(np.arange(1 - c, c))
-    bounds = np.cumsum(np.r_[0, sizes])
+    ks = np.abs(np.arange(1 - c, c))
+    bounds = np.cumsum(np.r_[0, c - ks])
     near = range(max(c - 3, 0), min(c + 2, 2 * c - 1))  # k = -2..2 at index k + c - 1
     lo, hi = bounds[near.start], bounds[near.stop]
     order = np.concatenate(_diagonals(c))[lo:hi]
@@ -343,19 +333,21 @@ def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.n
     v = np.stack([op2.T.ravel()[order] for _, op2, _ in ops], axis=1)
     for f1, f2 in reversed(steps):
         for i in near:
-            rows, s = slice(bounds[i] - lo, bounds[i + 1] - lo), sizes[i]
-            u[rows] = f1[i, :s, :s].T @ u[rows]
-            v[rows] = f2[i, :s, :s].T @ v[rows]
+            rows, k, s = slice(bounds[i] - lo, bounds[i + 1] - lo), ks[i], c - ks[i]
+            u[rows] = f1[k, :s, :s].T @ u[rows]
+            v[rows] = f2[k, :s, :s].T @ v[rows]
     sign = np.array([op[2] for op in ops])
     return sign * np.sum(u * (y[lo:hi, lo:hi] @ v), axis=0)
 
 
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
-    """((E1(t), E2(t)), (E1(t/2), E2(t/2))), each as :func:`mode_propagator`
-    returns it, from one :func:`_expm` call on both modes' blocks of t L."""
+    """((E1(t), E2(t)), (E1(t/2), E2(t/2))) from one :func:`_expm` call on
+    both modes' blocks of t L (:func:`_mode_blocks`).  Each E is a (cutoff,
+    cutoff, cutoff) block stack: entry k holds exp(t L_k), k = n - m >= 0, in
+    its leading cutoff - k rows and columns; block -k is read from entry k."""
     gen = np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
                           _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
-    return tuple((_mirror(m[:cutoff]), _mirror(m[cutoff:])) for m in _expm(t * gen, half=True))
+    return tuple((m[:cutoff], m[cutoff:]) for m in _expm(t * gen, half=True))
 
 
 @functools.lru_cache(maxsize=1)
@@ -389,14 +381,12 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     where E(t) is squared, E(t/2) E(t/2) is E(t) bit for bit, so the gate
     checks the block arithmetic there.  The returned state is validated:
     symmetry, unit trace, positivity (a Cholesky test) and the tail bound
-    (CutoffInsufficient if the bath heats the state past the cutoff).
+    (CutoffInsufficient if the bath heats the state past the cutoff).  A zero
+    step takes the same path; its blocks are exactly I.
     """
     t = _require_finite("time", t)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0:
-        return FockDensityMatrix(cutoff=rho0.cutoff, data=rho0.data.copy())
-
     n = rho0.cutoff
     (e1, e2), (h1, h2) = _step_propagators(ch, n, t)
     flat = _block_index(n)

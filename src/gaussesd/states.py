@@ -303,7 +303,7 @@ def _clamped_arctanh(x: float, what: str) -> float:
     return math.atanh(x)
 
 
-def params_from_cm(cm: CovarianceMatrix, textbook_formulas: bool = False) -> GaussianParams:
+def params_from_cm(cm: CovarianceMatrix) -> GaussianParams:
     """Recover (z1, z2, r, nu1, nu2) from the six second moments.
 
     Exact (to rounding) on covariance matrices generated by the real
@@ -311,19 +311,11 @@ def params_from_cm(cm: CovarianceMatrix, textbook_formulas: bool = False) -> Gau
     path extracts the squeezings, unwinds them on the moments and reads the
     thermal occupations from the resulting diagonal state; it satisfies the
     round-trip contract params -> cm -> params to better than 1e-9.
-
-    ``textbook_formulas=True`` switches to the uncorrected published closed
-    forms for the extraction.  Those fail the round-trip (the squeezing signs
-    come out flipped and the occupation expressions are structurally wrong);
-    they are kept only for comparison.
     """
     if not cm.is_physical(tol=1e-9):
         raise NonPhysicalCM(
             "covariance moments violate the uncertainty relation V + i Omega / 2 >= 0"
         )
-    if textbook_formulas:
-        return _params_from_cm_textbook(cm)
-
     z1 = -0.5 * _clamped_arctanh(cm.m1 / (cm.n1 + 0.5), "z1")
     z2 = -0.5 * _clamped_arctanh(cm.m2 / (cm.n2 + 0.5), "z2")
 
@@ -342,7 +334,9 @@ def params_from_cm(cm: CovarianceMatrix, textbook_formulas: bool = False) -> Gau
 
 
 def _params_from_cm_textbook(cm: CovarianceMatrix) -> GaussianParams:
-    """Published extraction expressions, evaluated verbatim.
+    """Published extraction expressions, evaluated verbatim.  They fail the
+    round trip (squeezing signs flipped, occupations structurally wrong) and
+    are kept only for comparison with :func:`params_from_cm`.
 
     z_i = arctanh(m_i / (n_i + 1/2)) / 2, r = arctanh(x) / 2 with
     x = 2 m_s / ((sqrt(det V1) + sqrt(det V2)) sinh(z1 + z2)), and the

@@ -31,6 +31,7 @@ from gaussesd import (
     params_from_cm,
     simon_criterion,
     simon_criterion_no_squeezing,
+    states,
     symmetric_esd_decay_ratio,
     symmetric_esd_decay_ratio_alt,
     t_esd_analytic_symmetric,
@@ -308,7 +309,7 @@ def test_criterion_9_roundtrip_and_extraction_report():
         )
         worst = max(worst, err)
         try:
-            qt = params_from_cm(cm, textbook_formulas=True)
+            qt = states._params_from_cm_textbook(cm)
             terr = max(
                 abs(getattr(p, f) - getattr(qt, f))
                 for f in ("z1", "z2", "r", "nu1", "nu2")

@@ -233,6 +233,18 @@ class TestIntegrate:
         assert out is not rho
         assert np.array_equal(out.data, rho.data)
 
+    @pytest.mark.parametrize("entry, error, message", [
+        (math.nan, OracleError, "nan"),
+        (0.25, CutoffInsufficient, "tail population 1.000e[+]00 exceeds"),
+    ], ids=["nan", "tail"])
+    def test_zero_step_goes_through_the_gates(self, entry, error, message):
+        # at cutoff 2 every level is in the tail, so the clean state fails the
+        # default tail gate; a NaN fails an earlier one
+        data = np.eye(4) / 4.0
+        data[1, 1] = entry
+        with pytest.raises(error, match=message):
+            integrate(FockDensityMatrix(cutoff=2, data=data), ChannelParams.symmetric(0.2), 0.0)
+
     def test_negative_time_rejected(self):
         rho = build_initial_state(GaussianParams.tmsv(0.4), 12)
         with pytest.raises(ValueError, match="time must be >= 0"):
@@ -281,12 +293,12 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("cutoff", [8, 12, 20])
     def test_one_exponential_per_step_is_the_four_call_reference(self, monkeypatch, cutoff):
-        # E(t) and E(t/2) of both modes from separate mode_propagator calls;
-        # the short step exponentiates every block unsquared (s = 0), the
-        # long one squares some at least once (s >= 1)
+        # E(t) and E(t/2) of both modes from four separate _expm calls; the
+        # short step exponentiates every block unsquared (s = 0), the long
+        # one squares some at least once (s >= 1)
         def four_calls(ch, c, t):
             modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-            return tuple(tuple(fock.mode_propagator(g, nb, c, s) for g, nb in modes)
+            return tuple(tuple(fock._expm(s * fock._mode_blocks(g, nb, c)) for g, nb in modes)
                          for s in (t, 0.5 * t))
 
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
@@ -304,6 +316,20 @@ class TestIntegrate:
             norms.append(max(np.abs(t * fock._mode_blocks(g, nb, cutoff)).sum(axis=-2).max()
                              for g, nb in ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))))
         assert norms[0] <= fock._THETA13 < norms[1]
+
+    def test_block_index_cache_holds_one_cutoff(self):
+        # cutoffs 8 -> 20 -> 8: the index is built anew for the second
+        # cutoff-8 step, which gives the first one's bits
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
+        fock._block_index.cache_clear()
+        outs = [integrate(build_initial_state(p, c, tail_tol=1.0), ch, 2.0, tail_tol=1.0).data
+                for c in (8, 20, 8)]
+        assert outs[2].tobytes() == outs[0].tobytes()
+        info = fock._block_index.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1, 1, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            fock._block_index(8)[0, 0] = 0
 
     def test_split_invariance(self):
         p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
@@ -385,17 +411,21 @@ class TestBlocks:
 
     @pytest.mark.parametrize("gamma, nb, cutoff", CASES)
     def test_propagator_blocks_match_dense_expm(self, gamma, nb, cutoff):
+        # E(t) and E(t/2) of two different modes; entry |k| serves block k
         from scipy.linalg import expm
 
         t = 3.0
-        dense = mode_generator(gamma, nb, cutoff)
-        e = fock.mode_propagator(gamma, nb, cutoff, t)
-        assert e.shape == (2 * cutoff - 1, cutoff, cutoff)
-        for k in range(1 - cutoff, cutoff):
-            sel = diagonal_indices(cutoff, k)
-            size = len(sel)
-            ref = expm(t * dense[np.ix_(sel, sel)])
-            assert np.max(np.abs(e[k + cutoff - 1, :size, :size] - ref)) < 1e-13
+        ch = ChannelParams(gamma, 0.5 * gamma, nb, nb + 0.25)
+        modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
+        for s, pair in zip((t, 0.5 * t), fock._step_propagators(ch, cutoff, t)):
+            for (g, n), e in zip(modes, pair):
+                dense = mode_generator(g, n, cutoff)
+                assert e.shape == (cutoff, cutoff, cutoff)
+                for k in range(1 - cutoff, cutoff):
+                    sel = diagonal_indices(cutoff, k)
+                    size = len(sel)
+                    ref = expm(s * dense[np.ix_(sel, sel)])
+                    assert np.max(np.abs(e[abs(k), :size, :size] - ref)) < 1e-13
 
     def test_integrate_matches_dense_reference(self):
         from scipy.linalg import expm
@@ -416,8 +446,7 @@ class TestBlocks:
         # it back and reads moments()
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
-        h1, h2 = (fock.mode_propagator(g, nb, cutoff, 1.25)
-                  for g, nb in ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2)))
+        h1, h2 = fock._step_propagators(ch, cutoff, 2.5)[1]
         rho = build_initial_state(p, cutoff, tail_tol=1.0)
         order = [i for k in range(1 - cutoff, cutoff) for i in diagonal_indices(cutoff, k)]
         y = regroup(rho.data, cutoff)[np.ix_(order, order)]

@@ -18,6 +18,7 @@ from gaussesd import (
     simon_criterion,
     evolve,
     simon_from_moments,
+    states,
     two_mode_squeezed,
 )
 from conftest import MOMENT_FIELDS, moment_diff, param_diff
@@ -110,19 +111,19 @@ class TestParameterExtraction:
     def test_textbook_formulas_fail_roundtrip(self):
         # squeezing comes out sign-flipped ...
         p = GaussianParams(0.4, 0.0, 0.0)
-        q = params_from_cm(cm_from_params(p), textbook_formulas=True)
+        q = states._params_from_cm_textbook(cm_from_params(p))
         assert q.z1 == pytest.approx(-0.4, abs=1e-12)
         # ... and the occupation expressions are structurally wrong: at
         # z = r = 0 they give (1 + 2 nu)^2 / 4 - 1/2 instead of nu
         p = GaussianParams(0.0, 0.0, 0.0, 0.7, 0.2)
-        q = params_from_cm(cm_from_params(p), textbook_formulas=True)
+        q = states._params_from_cm_textbook(cm_from_params(p))
         assert q.nu1 == pytest.approx(0.25 * (1 + 2 * 0.7) ** 2 - 0.5, abs=1e-12)
         assert abs(q.nu1 - 0.7) > 0.2
 
     def test_textbook_failure_rate_documented(self, rng):
         failures = 0
         for p in random_params(rng, 200):
-            q = params_from_cm(cm_from_params(p), textbook_formulas=True)
+            q = states._params_from_cm_textbook(cm_from_params(p))
             if param_diff(p, q) > 1e-9:
                 failures += 1
         assert failures > 190  # corrected extraction is the default for a reason
@@ -140,7 +141,7 @@ class TestParameterExtraction:
         cm = two_mode_squeezed(locally_squeezed(cm, -0.1, -0.1), -1.2)
         assert cm.is_physical()
         with pytest.raises(ExtractionOutOfDomain, match="r: arctanh argument -2.44"):
-            params_from_cm(cm, textbook_formulas=True)
+            states._params_from_cm_textbook(cm)
 
     def test_extraction_negative_occupation_rejected(self):
         # mc^2 = 1.44 > (n1 + 1) n2 = 0.3: unwinding the squeezers would leave
