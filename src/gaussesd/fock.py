@@ -12,21 +12,29 @@ All of it is real arithmetic from one truncated ladder a (a' = a^T) on exact
 blocks: damping conserves k = n - m per mode, the two-mode squeezer n1 - n2,
 and both keep the parity of n1 + n2.  Block -k equals block k, so a block
 stack holds k >= 0 only.  The tests hold the dense references: the master
-equation written out on whole matrices.  Matrix exponentials are numpy
-matmuls and solves, so the oracle runs on numpy's BLAS alone.
+equation and the initial state written out on whole matrices.  Matrix
+exponentials are numpy matmuls and solves, so the oracle runs on numpy's BLAS
+alone.
 
-Every propagated state, a zero step's too, is checked.  The same step taken
-as two half steps must give the same moments; those are read in the
-Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho), by propagating the six
-moment observables backward instead of the state.  One exponential gives both
-steps: where E(t) is squared, E(t/2) is its value before the last squaring,
-so E(t/2)^2 equals E(t) bit for bit and the gate checks the block arithmetic
-(gather, block matmuls, backward-propagated observables); unsquared blocks
-get a Pade step of their own for E(t/2).  The tests tie the Pade step to
-scipy's expm and, by the short-time derivative, to the dense master
-equation.  The state must be symmetric with unit trace and positive, which
-a Cholesky factorisation tests; eigenvalues are computed only to report a
-failure.
+The work is kept to few cutoff^4-sized arrays: the initial state applies the
+single-mode squeezers one index at a time, with no Kronecker product; a step
+propagates one gathered copy of the state in place; the checks copy each
+parity block once; and the moments are read from five diagonals of the state.
+What depends on the cutoff alone (gather index, moment weights, block-order
+observables) is built once and kept, read-only, for the last cutoff.
+
+Every step's input must be finite, and every propagated state, a zero
+step's too, is checked.  The same step taken as two half steps must give the
+same moments; those are read in the Heisenberg picture, tr(A H H rho) =
+tr((H' H' A) rho), by propagating the six moment observables backward
+instead of the state.  One exponential gives both steps: where E(t) is
+squared, E(t/2) is its value before the last squaring, so E(t/2)^2 equals
+E(t) bit for bit and the gate checks the block arithmetic (gather, block
+matmuls, backward-propagated observables); unsquared blocks get a Pade step
+of their own for E(t/2).  The tests tie the Pade step to scipy's expm and, by
+the short-time derivative, to the dense master equation.  The state must be
+symmetric with unit trace and positive, which a Cholesky factorisation
+tests; eigenvalues are computed only to report a failure.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -114,32 +122,42 @@ class FockDensityMatrix:
         1e-8 and eigenvalues >= -1e-8 (else OracleError), tail below
         tail_tol (else CutoffInsufficient).
 
-        Positivity is tested on the two parity blocks of n1 + n2 when all
-        entries between them are 0, else on the whole matrix: a block passes
-        when its Cholesky factorisation with 1e-8 added to the diagonal
-        succeeds, that is when it is definite (Higham, *Accuracy and
-        Stability of Numerical Algorithms*, 2nd ed., ch. 10).  Only when one
-        fails are the eigenvalues computed; the smallest must then be below
-        -1e-8 to raise, and the message names it."""
+        The symmetry and positivity gates work on the two parity blocks of
+        n1 + n2 when all entries between them are exactly 0, else on a copy
+        of the whole matrix; the blocks are copied once, taking rows, then
+        columns.  d - d^T is exactly 0 on cross entries that are 0, so the
+        blocks give the whole matrix's asymmetry.  A block passes the
+        positivity gate when its Cholesky factorisation with 1e-8 added to
+        the diagonal (in place, on the copy) succeeds, that is when it is
+        definite (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., ch. 10).  Only when one fails are the eigenvalues of the
+        unshifted blocks computed; the smallest must then be below -1e-8 to
+        raise, and the message names it."""
         d = self.data
-        # d - d^T is exactly antisymmetric in floating point, so its maximum
-        # is its largest modulus; each gate is written so that NaN fails it
-        asym = float(np.max(d - d.T))
-        if not asym <= 1e-10:
-            raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
-        tr = float(np.trace(d))
-        if not abs(tr - 1.0) <= 1e-8:
-            raise OracleError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         n = np.arange(self.cutoff)
         parity = np.add.outer(n, n).ravel() % 2
         even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
         rows_even, rows_odd = d.take(even, axis=0), d.take(odd, axis=0)
         cross = np.any(rows_even.take(odd, axis=1)) or np.any(rows_odd.take(even, axis=1))
-        blocks = [d] if cross else [rows_even.take(even, axis=1), rows_odd.take(odd, axis=1)]
+        blocks = [d.copy()] if cross else [rows_even.take(even, axis=1), rows_odd.take(odd, axis=1)]
+        del rows_even, rows_odd
+        # b - b^T is exactly antisymmetric in floating point, so its maximum
+        # is its largest modulus; each gate is written so that NaN fails it,
+        # and the reduction over blocks is numpy's, which keeps a NaN
+        asym = float(np.max([np.max(b - b.T) for b in blocks]))
+        if not asym <= 1e-10:
+            raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
+        tr = float(np.trace(d))
+        if not abs(tr - 1.0) <= 1e-8:
+            raise OracleError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        diags = [b.diagonal().copy() for b in blocks]
         try:
-            for b in blocks:
-                np.linalg.cholesky(b + 1e-8 * np.eye(len(b)))
+            for b, diag in zip(blocks, diags):
+                np.fill_diagonal(b, diag + 1e-8)
+                np.linalg.cholesky(b)
         except np.linalg.LinAlgError:
+            for b, diag in zip(blocks, diags):
+                np.fill_diagonal(b, diag)
             min_eig = float(min(np.linalg.eigvalsh(b).min() for b in blocks))
             if min_eig < -1e-8:
                 raise OracleError(
@@ -224,11 +242,6 @@ def _expm(stack: np.ndarray, half: bool = False):
     return e, h
 
 
-def _regroup(m: np.ndarray, n: int) -> np.ndarray:
-    """rho[(n1 n2), (m1 m2)] -> X[(n1 m1), (n2 m2)]; its own inverse."""
-    return np.ascontiguousarray(m.reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(n * n, n * n)
-
-
 def _thermal_weights(nu: float, cutoff: int) -> np.ndarray:
     w = (nu / (1.0 + nu)) ** np.arange(cutoff)  # nu = 0: 0.0 ** 0 = 1, the vacuum
     return w / w.sum()
@@ -240,25 +253,31 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     truncated basis.
 
     The squeezers are matrix exponentials (scaling and squaring) of the
-    truncated generators z/2 (a'^2 - a^2) and r (a1' a2' - a1 a2); the
-    generators are real and antisymmetric, so the truncated squeezers are
-    exactly orthogonal and the construction preserves trace and positivity.
-    The two-mode squeezer conserves n1 - n2 and is exponentiated by those
-    blocks.  Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
-    CutoffInsufficient when the tail population exceeds ``tail_tol``.
+    truncated generators z/2 (a'^2 - a^2) and r (a1' a2' - a1 a2), all three
+    from one :func:`_expm` call; the generators are real and antisymmetric,
+    so the truncated squeezers are exactly orthogonal and the construction
+    preserves trace and positivity.  The two-mode squeezer conserves n1 - n2
+    and is exponentiated by those blocks, and so is M = S2 sigma S2' formed,
+    one block product per n1 - n2.  S1 = u1 (x) u2 then applies to
+    M[n1, n2, m1, m2] one factor per index, as four cutoff x cutoff by
+    cutoff x cutoff^3 products, with no Kronecker product.  Raises ValueError
+    unless 2 <= cutoff <= MAX_CUTOFF, and CutoffInsufficient when the tail
+    population exceeds ``tail_tol``.
     """
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
     a = _ladder(cutoff)
     ada = a.T @ a.T - a @ a
-    u1, u2 = _expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
-    u = np.kron(u1, u2)
-    s2 = _expm(_tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
-    for sel in _diagonals(cutoff):  # u @ S2, block by block; block -k is block k
-        u[:, sel] = u[:, sel] @ s2[cutoff - len(sel), : len(sel), : len(sel)]
-
+    u1, u2, *s2 = _expm(np.concatenate([[0.5 * p.z1 * ada, 0.5 * p.z2 * ada],
+                                        _tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r)]))
     w = np.kron(_thermal_weights(p.nu1, cutoff), _thermal_weights(p.nu2, cutoff))
-    rho = (u * w) @ u.T
+    m = np.zeros((cutoff * cutoff,) * 2)
+    for sel in _diagonals(cutoff):  # block -k of S2 is block k
+        b = s2[cutoff - len(sel)][: len(sel), : len(sel)]
+        m[np.ix_(sel, sel)] = (b * w[sel]) @ b.T
+    for u in (u1, u2, u1, u2):  # u on the leading index, which then moves last
+        m = m.reshape(cutoff, -1).T @ u.T
+    rho = m.reshape(cutoff * cutoff, cutoff * cutoff)
     rho = 0.5 * (rho + rho.T)
     state = FockDensityMatrix(cutoff=cutoff, data=rho)
     tail = state.tail_population()
@@ -283,29 +302,67 @@ def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
 
 
 def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F1 y F2^T for y in block order and F1, F2 block stacks as in
-    :func:`_step_propagators`: one small matmul per block on its rows, then on
-    its columns."""
+    """y <- F1 y F2^T in place, for y in block order and F1, F2 block stacks
+    as in :func:`_step_propagators`: one small matmul per block on its rows,
+    then on its columns.  Returns y."""
     c = f1.shape[-1]
     ks = np.abs(np.arange(1 - c, c))
     bounds = np.cumsum(np.r_[0, c - ks])
-    left = np.empty_like(y)
     for lo, hi, k in zip(bounds, bounds[1:], ks):
-        left[lo:hi] = f1[k, : hi - lo, : hi - lo] @ y[lo:hi]
-    out = np.empty_like(y)
+        y[lo:hi] = f1[k, : hi - lo, : hi - lo] @ y[lo:hi]
     for lo, hi, k in zip(bounds, bounds[1:], ks):
-        out[:, lo:hi] = left[:, lo:hi] @ f2[k, : hi - lo, : hi - lo].T
-    return out
+        y[:, lo:hi] = y[:, lo:hi] @ f2[k, : hi - lo, : hi - lo].T
+    return y
 
 
-def _moment_ops(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-    """(op1, op2, sign) of each moment of :func:`moments`, in
-    CovarianceMatrix order: the moment is sign tr((op1 (x) op2) rho)."""
+def _moment_ops(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray, float, int], ...]:
+    """(op1, op2, sign, offset) of each moment of :func:`moments`, in
+    CovarianceMatrix order: the moment is sign tr((op1 (x) op2) rho), and
+    op1 (x) op2 has entries on its diagonal ``offset`` only."""
     a = _ladder(cutoff)
     eye = np.eye(cutoff)
     num, aa = a.T @ a, a @ a
-    return ((num, eye, 1.0), (eye, num, 1.0), (aa, eye, -1.0), (eye, aa, -1.0),
-            (a, a.T, -1.0), (a, a, 1.0))
+    c = cutoff
+    return ((num, eye, 1.0, 0), (eye, num, 1.0, 0), (aa, eye, -1.0, 2 * c), (eye, aa, -1.0, 2),
+            (a, a.T, -1.0, c - 1), (a, a, 1.0, c + 1))
+
+
+@functools.lru_cache(maxsize=1)
+def _moment_diagonals(cutoff: int) -> tuple[tuple[int, np.ndarray, float], ...]:
+    """(offset o, weights w, sign) of each moment of :func:`moments`:
+    w[i] = (op1 (x) op2)[i, i + o] = op1[n1, m1] op2[n2, m2] at i = n1 cutoff
+    + n2, i + o = m1 cutoff + m2.  About cutoff^2 entries each, read-only,
+    kept for the last cutoff only."""
+    out = []
+    for op1, op2, sign, o in _moment_ops(cutoff):
+        n1, n2 = np.divmod(np.arange(cutoff * cutoff - o), cutoff)
+        m1, m2 = np.divmod(np.arange(o, cutoff * cutoff), cutoff)
+        w = op1[n1, m1] * op2[n2, m2]
+        w.flags.writeable = False
+        out.append((o, w, sign))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _block_observables(cutoff: int):
+    """What :func:`_block_moments` reads at one cutoff, read-only and kept for
+    the last cutoff only: the block-order rows of blocks k = -2..2, each
+    block's (rows, k) among them, the observables u = vec(A^T) and v =
+    vec(B^T) on those rows with one column per moment, and the signs."""
+    c = cutoff
+    ks = np.abs(np.arange(1 - c, c))
+    bounds = np.cumsum(np.r_[0, c - ks])
+    near = range(max(c - 3, 0), min(c + 2, 2 * c - 1))  # k = -2..2 at index k + c - 1
+    lo, hi = bounds[near.start], bounds[near.stop]
+    order = np.concatenate(_diagonals(c))[lo:hi]
+    ops = _moment_ops(c)
+    u = np.stack([op1.T.ravel()[order] for op1, *_ in ops], axis=1)
+    v = np.stack([op2.T.ravel()[order] for _, op2, *_ in ops], axis=1)
+    sign = np.array([op[2] for op in ops])
+    for arr in (u, v, sign):
+        arr.flags.writeable = False
+    blocks = tuple((slice(bounds[i] - lo, bounds[i + 1] - lo), ks[i]) for i in near)
+    return slice(lo, hi), blocks, u, v, sign
 
 
 def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -315,29 +372,21 @@ def _block_moments(y: np.ndarray, *steps: tuple[np.ndarray, np.ndarray]) -> np.n
     with no steps.
 
     They are read in the Heisenberg picture.  tr((A (x) B) rho) = u^T X v
-    with u = vec(A^T), v = vec(B^T) on the regrouped X (see :func:`moments`),
-    so the observables go backward through the steps instead of the state
-    forward, u <- F1^T u and v <- F2^T v, and each moment is sign u^T y v.
-    The observables change n - m by at most 2, so only blocks k = 0, +-1,
-    +-2 are non-zero: only those are propagated, and only their rows and
-    columns of y are read.
+    with u = vec(A^T), v = vec(B^T) on rho regrouped as X[(n1 m1), (n2 m2)],
+    with row-major vec, so the observables go backward through the steps
+    instead of the state forward, u <- F1^T u and v <- F2^T v, and each
+    moment is sign u^T y v.  The observables change n - m by at most 2, so
+    only blocks k = 0, +-1, +-2 are non-zero: only those are propagated, and
+    only their rows and columns of y are read (:func:`_block_observables`).
     """
-    c = math.isqrt(len(y))
-    ks = np.abs(np.arange(1 - c, c))
-    bounds = np.cumsum(np.r_[0, c - ks])
-    near = range(max(c - 3, 0), min(c + 2, 2 * c - 1))  # k = -2..2 at index k + c - 1
-    lo, hi = bounds[near.start], bounds[near.stop]
-    order = np.concatenate(_diagonals(c))[lo:hi]
-    ops = _moment_ops(c)
-    u = np.stack([op1.T.ravel()[order] for op1, _, _ in ops], axis=1)
-    v = np.stack([op2.T.ravel()[order] for _, op2, _ in ops], axis=1)
+    rows, blocks, u, v, sign = _block_observables(math.isqrt(len(y)))
+    u, v = u.copy(), v.copy()
     for f1, f2 in reversed(steps):
-        for i in near:
-            rows, k, s = slice(bounds[i] - lo, bounds[i + 1] - lo), ks[i], c - ks[i]
-            u[rows] = f1[k, :s, :s].T @ u[rows]
-            v[rows] = f2[k, :s, :s].T @ v[rows]
-    sign = np.array([op[2] for op in ops])
-    return sign * np.sum(u * (y[lo:hi, lo:hi] @ v), axis=0)
+        for r, k in blocks:
+            s = r.stop - r.start
+            u[r] = f1[k, :s, :s].T @ u[r]
+            v[r] = f2[k, :s, :s].T @ v[r]
+    return sign * np.sum(u * (y[rows, rows] @ v), axis=0)
 
 
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
@@ -373,33 +422,43 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     regrouped as X[(n1 m1), (n2 m2)].  One gather puts X in k1 / k2 block
     order (its index is kept from the last call's cutoff), E1 and E2 apply as
     2 cutoff - 1 block matmuls per side, and one scatter returns the result.
-    It is accepted only if the split E(t/2) E(t/2) gives every moment to
-    within 1e-6 (StepTooLarge otherwise).  Both sets of moments are read in
-    block order by :func:`_block_moments`, the split ones by propagating the
-    six observables backward through the half steps instead of the state
-    forward.  E(t) and E(t/2) of both modes come from one :func:`_expm` call;
-    where E(t) is squared, E(t/2) E(t/2) is E(t) bit for bit, so the gate
-    checks the block arithmetic there.  The returned state is validated:
-    symmetry, unit trace, positivity (a Cholesky test) and the tail bound
-    (CutoffInsufficient if the bath heats the state past the cutoff).  A zero
-    step takes the same path; its blocks are exactly I.
+    The gather's copy y is propagated in place, after the split moments are
+    read from it.  It is accepted only if the split E(t/2) E(t/2) gives every
+    moment to within 1e-6 (StepTooLarge otherwise).  Both sets of moments
+    are read in block order by :func:`_block_moments`, the split ones by
+    propagating the six observables backward through the half steps instead
+    of the state forward.  E(t) and E(t/2) of both modes come from one
+    :func:`_expm` call; where E(t) is squared, E(t/2) E(t/2) is E(t) bit for
+    bit, so the gate checks the block arithmetic there.  The input must be
+    finite, which one sum over its entries tests (OracleError otherwise).
+    The returned state is validated: symmetry, unit trace, positivity (a
+    Cholesky test) and the tail bound (CutoffInsufficient if the bath heats
+    the state past the cutoff).  A zero step takes the same path; its blocks
+    are exactly I.
     """
     t = _require_finite("time", t)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
+    # NaN and inf propagate through the sum; finite entries overflow it only
+    # far beyond a density matrix's range
+    total = float(np.sum(rho0.data))
+    if not math.isfinite(total):
+        raise OracleError(f"input state is not finite: its entries sum to {total}")
     n = rho0.cutoff
     (e1, e2), (h1, h2) = _step_propagators(ch, n, t)
     flat = _block_index(n)
     y = rho0.data.take(flat)
-    x = _apply(e1, e2, y)
+    split = _block_moments(y, (h1, h2), (h1, h2))
+    _apply(e1, e2, y)
 
-    diff = float(np.max(np.abs(_block_moments(x) - _block_moments(y, (h1, h2), (h1, h2)))))
+    diff = float(np.max(np.abs(_block_moments(y) - split)))
     if not diff < 1e-6:
         raise StepTooLarge(
             f"propagating in two halves changes final moments by {diff:.3e} (>= 1e-6)"
         )
     data = np.empty(n**4)
-    data[flat] = x
+    data[flat] = y
+    del y  # before validate's copies
     out = FockDensityMatrix(cutoff=n, data=data.reshape(n * n, n * n))
     out.validate(tail_tol=tail_tol)
     return out
@@ -409,13 +468,16 @@ def moments(rho: FockDensityMatrix) -> CovarianceMatrix:
     """Second moments n_i = <a_i'a_i>, m_i = -<a_i^2>, m_s = -<a1 a2'>,
     m_c = <a1 a2> as traces against the truncated operators.
 
-    tr((A (x) B) rho) = vec(A^T) . X . vec(B^T) on the regrouped
-    X[(n1 m1), (n2 m2)], with row-major vec.
+    tr(K rho) = sum_ij K[i, j] rho[j, i], and each K = op1 (x) op2 has
+    entries on one diagonal o only (:func:`_moment_diagonals`), so each
+    moment is a weighted sum (numpy's pairwise summation) over the diagonal
+    -o of rho: five diagonals, offsets 0, -2, -(c - 1), -(c + 1) and -2c at
+    cutoff c, are read.
     """
-    x = _regroup(rho.data, rho.cutoff)
+    d = rho.data
     # CovarianceMatrix clamps occupations that rounding pushed below zero
-    return CovarianceMatrix(*(sign * float(op1.T.ravel() @ x @ op2.T.ravel())
-                              for op1, op2, sign in _moment_ops(rho.cutoff)))
+    return CovarianceMatrix(*(sign * float(np.sum(w * np.diagonal(d, -o)))
+                              for o, w, sign in _moment_diagonals(rho.cutoff)))
 
 
 def chain(p: GaussianParams, ch: ChannelParams, times, cutoff: int,

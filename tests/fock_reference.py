@@ -2,12 +2,13 @@
 
 The master equation written out on whole matrices, with no blocks and no
 matrix exponential: the tests compare :mod:`gaussesd.fock`'s block generators,
-propagators and integrated states against these.
+propagators and integrated states against these.  The initial state is also
+built the direct way, as one Kronecker product and whole-matrix products.
 """
 
 import numpy as np
 
-from gaussesd import ChannelParams
+from gaussesd import ChannelParams, GaussianParams, fock
 from gaussesd.fock import FockDensityMatrix
 
 
@@ -55,3 +56,21 @@ def mode_generator(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     if nb > 0.0:
         gen += gamma * nb * dissipator(a.T)
     return gen
+
+
+def kron_initial_state(p: GaussianParams, cutoff: int) -> np.ndarray:
+    """The initial state's matrix as U sigma U' with U = (u1 (x) u2) S2 formed
+    whole: np.kron of the single-mode squeezers, S2 applied by its n1 - n2
+    blocks on U's columns, then one cutoff^2-sized matrix product.  The
+    exponentials are :func:`gaussesd.fock._expm`'s; only the products differ
+    from :func:`gaussesd.fock.build_initial_state`."""
+    a = ladder(cutoff)
+    ada = a.T @ a.T - a @ a
+    u1, u2 = fock._expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
+    u = np.kron(u1, u2)
+    s2 = fock._expm(fock._tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
+    for sel in fock._diagonals(cutoff):  # block -k is block k
+        u[:, sel] = u[:, sel] @ s2[cutoff - len(sel), : len(sel), : len(sel)]
+    w = np.kron(fock._thermal_weights(p.nu1, cutoff), fock._thermal_weights(p.nu2, cutoff))
+    rho = (u * w) @ u.T
+    return 0.5 * (rho + rho.T)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from gaussesd.fock import (
     moments,
 )
 from conftest import MOMENT_FIELDS, moment_diff
-from fock_reference import lindblad_rhs, mode_generator
+from fock_reference import kron_initial_state, lindblad_rhs, mode_generator
 
 
 def basis_state(n1, n2, cutoff):
@@ -69,6 +70,14 @@ class TestBuildInitialState:
         p = GaussianParams(0.3, 0.3, 0.5, 0.1, 0.1)
         rho = build_initial_state(p, 24)
         assert moment_diff(moments(rho), cm_from_params(p)) < 1e-4
+
+    @pytest.mark.parametrize("cutoff", [2, 8, 20, 32])
+    def test_factored_build_matches_kron_construction(self, cutoff):
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        d = build_initial_state(p, cutoff, tail_tol=1.0).data
+        assert np.max(np.abs(d - kron_initial_state(p, cutoff))) < 1e-14
+        assert np.array_equal(d, d.T)
+        assert abs(np.trace(d) - 1.0) < 1e-14
 
     def test_validates_invariants(self):
         rho = build_initial_state(GaussianParams(0.2, -0.1, 0.4, 0.1, 0.2), 20)
@@ -244,6 +253,16 @@ class TestIntegrate:
         data[1, 1] = entry
         with pytest.raises(error, match=message):
             integrate(FockDensityMatrix(cutoff=2, data=data), ChannelParams.symmetric(0.2), 0.0)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_input_is_named(self, entry):
+        # the input is checked before the step, so the error is not the split
+        # gate's StepTooLarge, and it names the input state
+        data = np.eye(4) / 4.0
+        data[1, 1] = entry
+        with pytest.raises(OracleError, match=f"input state is not finite: .* {entry}") as exc:
+            integrate(FockDensityMatrix(cutoff=2, data=data), ChannelParams.symmetric(0.2), 0.0)
+        assert not isinstance(exc.value, StepTooLarge)
 
     def test_negative_time_rejected(self):
         rho = build_initial_state(GaussianParams.tmsv(0.4), 12)
@@ -451,7 +470,7 @@ class TestBlocks:
         order = [i for k in range(1 - cutoff, cutoff) for i in diagonal_indices(cutoff, k)]
         y = regroup(rho.data, cutoff)[np.ix_(order, order)]
         x = np.empty_like(y)
-        x[np.ix_(order, order)] = fock._apply(h1, h2, fock._apply(h1, h2, y))
+        x[np.ix_(order, order)] = fock._apply(h1, h2, fock._apply(h1, h2, y.copy()))
         split = FockDensityMatrix(cutoff=cutoff, data=regroup(x, cutoff))
         for state, got in ((rho, fock._block_moments(y)),
                            (split, fock._block_moments(y, (h1, h2), (h1, h2)))):
@@ -541,29 +560,30 @@ class TestMoments:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_matches_dense_traces(self, rng, symmetric):
         # tr((A (x) B) rho) written out literally for each moment; an added
-        # antisymmetric part also pins which factor is transposed
-        cutoff = 6
-        rho = random_state(rng, cutoff)
-        if not symmetric:
-            y = rng.normal(size=rho.data.shape) / rho.data.size
-            rho = FockDensityMatrix(cutoff=cutoff, data=rho.data + y - y.T)
-        a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-        eye = np.eye(cutoff)
-        cm = moments(rho)
+        # antisymmetric part also pins which factor is transposed and which
+        # off-diagonal is read; at cutoff 2 the diagonals +-2 cutoff are empty
+        for cutoff in (2, 3, 6, 20):
+            rho = random_state(rng, cutoff)
+            if not symmetric:
+                y = rng.normal(size=rho.data.shape) / rho.data.size
+                rho = FockDensityMatrix(cutoff=cutoff, data=rho.data + y - y.T)
+            a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+            eye = np.eye(cutoff)
+            cm = moments(rho)
 
-        def tr(op1, op2):
-            return np.trace(np.kron(op1, op2) @ rho.data)
+            def tr(op1, op2):
+                return np.trace(np.kron(op1, op2) @ rho.data)
 
-        expected = {
-            "n1": tr(a.T @ a, eye),
-            "n2": tr(eye, a.T @ a),
-            "m1": -tr(a @ a, eye),
-            "m2": -tr(eye, a @ a),
-            "ms": -tr(a, a.T),
-            "mc": tr(a, a),
-        }
-        for f in MOMENT_FIELDS:
-            assert abs(getattr(cm, f) - expected[f]) < 1e-14, f
+            expected = {
+                "n1": tr(a.T @ a, eye),
+                "n2": tr(eye, a.T @ a),
+                "m1": -tr(a @ a, eye),
+                "m2": -tr(eye, a @ a),
+                "ms": -tr(a, a.T),
+                "mc": tr(a, a),
+            }
+            for f in MOMENT_FIELDS:
+                assert abs(getattr(cm, f) - expected[f]) < 1e-14, (cutoff, f)
 
     def test_imaginary_part_rejected(self):
         cutoff = 4
@@ -589,6 +609,38 @@ class TestMoments:
         rho = FockDensityMatrix(cutoff=3, data=np.eye(9, dtype=complex) / 9.0)
         assert rho.data.dtype == np.float64
         assert np.array_equal(rho.data, np.eye(9) / 9.0)
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during call(), measured after
+    one untraced warm-up call has filled the per-cutoff caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    CUTOFF = 20
+
+    def state(self):
+        return build_initial_state(GaussianParams.symmetric(0.2, 0.4), self.CUTOFF)
+
+    def test_integrate_peak(self):
+        # the gather's copy, the scatter target and validate's parity blocks:
+        # at most four cutoff^4 arrays of float64 at once
+        rho, ch = self.state(), ChannelParams(0.25, 0.2, 0.25, 0.1)
+        peak = traced_peak(lambda: integrate(rho, ch, 4.0))
+        assert peak <= 4 * self.CUTOFF**4 * 8, f"{peak / 1e6:.2f} MB"
+
+    def test_moments_peak(self):
+        # five diagonals of about cutoff^2 entries; no cutoff^4 copy
+        rho = self.state()
+        peak = traced_peak(lambda: moments(rho))
+        assert peak <= 128 * 1024, f"{peak / 1e3:.1f} kB"
 
 
 class TestHelpers:
