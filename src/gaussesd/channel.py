@@ -105,7 +105,7 @@ def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     equation; at t = 0 this reduces exactly to cm_from_params(p0), and for
     t -> infinity it converges to the bath moments (n_i = nb_i, m = 0).
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails it too
         raise ValueError(f"time must be >= 0, got {t}")
     return CovarianceMatrix(*_combine(_param_terms(p0), _time_factors(ch, t)))
 
@@ -127,7 +127,7 @@ def simon_curve(p0: GaussianParams, ch: ChannelParams):
 def _evolve_grid(states, ch: ChannelParams, times) -> tuple:
     """The six evolved moments of each state at each time, as arrays of
     shape (len(states), len(times)), bit for bit equal to :func:`evolve`."""
-    if any(t < 0 for t in times):
+    if not all(t >= 0 for t in times):  # NaN fails it too
         raise ValueError("times must be >= 0")
     terms = np.array([_param_terms(p) for p in states]).reshape(-1, 14).T[:, :, None]
     factors = np.array([_time_factors(ch, t) for t in times]).reshape(-1, 7).T
@@ -185,8 +185,8 @@ def sample_trajectory(
 ) -> Trajectory:
     """Evaluate the evolved covariance and Simon value on a uniform time grid
     over [0, t_max], both endpoints included."""
-    if not (t_max > 0):
-        raise InvalidGrid(f"t_max must be > 0, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise InvalidGrid(f"t_max must be finite and > 0, got {t_max}")
     if n_points < 2:
         raise InvalidGrid(f"n_points must be >= 2, got {n_points}")
     times = tuple(t_max * i / (n_points - 1) for i in range(n_points))

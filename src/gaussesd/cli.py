@@ -80,29 +80,29 @@ def _analytic_applicable(cfg: RunConfig) -> bool:
 def cmd_esd(args) -> int:
     cfg = _load_config(args)
     numeric = t_esd_numeric(cfg.state, cfg.channel, cfg.time.t_max)
-    fields = [("kind", numeric.kind.value)]
+    lines = [("kind", numeric.kind.value)]
     if numeric.t_esd is not None:
-        fields.append(("t_esd_numeric", numeric.t_esd))
+        lines.append(("t_esd_numeric", numeric.t_esd))
 
     analytic = None
     if _analytic_applicable(cfg):
         analytic = t_esd_analytic_symmetric(cfg.state.z1, cfg.state.r, cfg.channel.gamma1)
-        fields.append(("kind_analytic", analytic.kind.value))
+        lines.append(("kind_analytic", analytic.kind.value))
         if analytic.t_esd is not None:
-            fields.append(("t_esd_analytic", analytic.t_esd))
+            lines.append(("t_esd_analytic", analytic.t_esd))
         if numeric.t_esd is not None and analytic.t_esd is not None:
             rel = abs(numeric.t_esd - analytic.t_esd) / analytic.t_esd
-            fields.append(("relative_difference", rel))
+            lines.append(("relative_difference", rel))
     else:
-        fields.append(("kind_analytic", "not-applicable"))
+        lines.append(("kind_analytic", "not-applicable"))
 
     if cfg.state.z1 == 0.0 and cfg.state.z2 == 0.0:
         r_min = initial_entanglement_threshold(cfg.state.nu1, cfg.state.nu2)
-        fields.append(("initial_entanglement_threshold", r_min))
+        lines.append(("initial_entanglement_threshold", r_min))
 
-    sys.stdout.write("".join(f"{name}: {format_value(value)}\n" for name, value in fields))
+    sys.stdout.write("".join(f"{name}: {format_value(value)}\n" for name, value in lines))
     if cfg.output.path != "-":
-        _write_text(cfg.output.path, _render_table(["field", "value"], fields, cfg.output.format))
+        _write_text(cfg.output.path, _render_table(["field", "value"], lines, cfg.output.format))
     return 0
 
 

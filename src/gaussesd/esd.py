@@ -265,7 +265,7 @@ def esd_boundary_sweep(r0: float, ch: ChannelParams, z_grid, t_grid) -> np.ndarr
         raise InvalidGrid("z_grid and t_grid must be non-empty 1-d sequences")
     if np.any(np.diff(z_grid) <= 0) or np.any(np.diff(t_grid) <= 0):
         raise InvalidGrid("grids must be strictly increasing")
-    if np.any(t_grid < 0):
+    if not np.all(t_grid >= 0):  # NaN fails it too
         raise InvalidGrid("times must be >= 0")
 
     states = [GaussianParams.symmetric(z, r0) for z in z_grid.tolist()]

@@ -141,6 +141,8 @@ class TestEvolve:
         p, ch = GaussianParams.tmsv(0.5), ChannelParams.symmetric(0.1)
         with pytest.raises(ValueError):
             evolve(p, ch, -0.1)
+        with pytest.raises(ValueError, match="time must be >= 0, got nan"):
+            evolve(p, ch, math.nan)
 
     def test_evolve_cm_rejects_negative_time(self):
         cm = cm_from_params(GaussianParams.tmsv(0.5))
@@ -230,6 +232,9 @@ class TestTrajectory:
             sample_trajectory(p, ch, 0.0, 10)
         with pytest.raises(InvalidGrid):
             sample_trajectory(p, ch, 10.0, 1)
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(InvalidGrid, match=f"t_max must be finite and > 0, got {t_max}"):
+                sample_trajectory(p, ch, t_max, 4)
 
     def test_trajectory_validates_lengths(self):
         cm = CovarianceMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -263,6 +268,8 @@ class TestSimonGrid:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, -1.0])
+        with pytest.raises(ValueError, match="times must be >= 0"):
+            simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, math.nan])
 
 
 class TestLongTimes:

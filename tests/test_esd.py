@@ -211,6 +211,8 @@ class TestNumericRoot:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: esd_boundary_sweep(1.0, ChannelParams.symmetric(0.1), [0.0, 1.0], [-1.0, 0.5]),
      InvalidGrid, "times must be >= 0"),
+    (lambda: esd_boundary_sweep(1.0, ChannelParams.symmetric(0.1), [0.0, 1.0], [math.nan, 0.5]),
+     InvalidGrid, "times must be >= 0"),
     (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), 0.0),
      ValueError, "t_max must be > 0"),
     (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), -1.0),
@@ -222,7 +224,7 @@ class TestNumericRoot:
      "t_esd must be > 0"),
     (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, -1.0), ValueError,
      "t_esd must be > 0"),
-], ids=["sweep-negative-times", "numeric-t-max-zero", "numeric-t-max-negative",
+], ids=["sweep-negative-times", "sweep-nan-time", "numeric-t-max-zero", "numeric-t-max-negative",
         "analytic-r0-zero", "analytic-gamma-zero", "analytic-gamma-negative",
         "result-t-esd-zero", "result-t-esd-negative"])
 def test_out_of_range_input_rejected(call, error, message):

@@ -458,11 +458,11 @@ class TestBlocks:
         out = integrate(rho, ch, t, tail_tol=1e-3)
         assert np.max(np.abs(out.data - ref)) < 1e-13
 
-    @pytest.mark.parametrize("cutoff", [8, 12, 20])
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 12, 20])
     def test_split_gate_moments_match_propagated_state(self, cutoff):
-        # the gate reads y and H1 H1 y H2' H2' through backward-propagated
+        # the gate reads rho and H1 H1 X H2' H2' through backward-propagated
         # observables; the reference propagates the state itself, scatters
-        # it back and reads moments()
+        # it back and reads moments(); cutoff 2 has no blocks k = +-2
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
         h1, h2 = fock._step_propagators(ch, cutoff, 2.5)[1]
@@ -472,8 +472,8 @@ class TestBlocks:
         x = np.empty_like(y)
         x[np.ix_(order, order)] = fock._apply(h1, h2, fock._apply(h1, h2, y.copy()))
         split = FockDensityMatrix(cutoff=cutoff, data=regroup(x, cutoff))
-        for state, got in ((rho, fock._block_moments(y)),
-                           (split, fock._block_moments(y, (h1, h2), (h1, h2)))):
+        for state, got in ((rho, fock._moments(rho.data, cutoff)),
+                           (split, fock._moments(rho.data, cutoff, (h1, h2), (h1, h2)))):
             want = np.array([getattr(moments(state), f) for f in MOMENT_FIELDS])
             assert np.max(np.abs(got - want)) < 1e-13
 
@@ -637,10 +637,12 @@ class TestAllocation:
         assert peak <= 4 * self.CUTOFF**4 * 8, f"{peak / 1e6:.2f} MB"
 
     def test_moments_peak(self):
-        # five diagonals of about cutoff^2 entries; no cutoff^4 copy
-        rho = self.state()
-        peak = traced_peak(lambda: moments(rho))
-        assert peak <= 128 * 1024, f"{peak / 1e3:.1f} kB"
+        # vectors of at most cutoff entries and views of rho; no copy of a
+        # block, let alone of rho
+        for cutoff in (20, 32):
+            rho = build_initial_state(GaussianParams.symmetric(0.2, 0.4), cutoff)
+            peak = traced_peak(lambda: moments(rho))
+            assert peak <= 128 * cutoff, f"cutoff {cutoff}: {peak / 1e3:.1f} kB"
 
 
 class TestHelpers:
