@@ -116,6 +116,8 @@ def simon_curve(p0: GaussianParams, ch: ChannelParams):
     terms = _param_terms(p0)
 
     def s_of(t: float) -> float:
+        if not t >= 0:  # NaN fails it too
+            raise ValueError(f"time must be >= 0, got {t}")
         s = simon_from_moments(*_combine(terms, _time_factors(ch, t)))
         if not math.isfinite(s):
             raise ValueError(f"Simon value is not finite at t={t}")
@@ -125,22 +127,26 @@ def simon_curve(p0: GaussianParams, ch: ChannelParams):
 
 
 def _evolve_grid(states, ch: ChannelParams, times) -> tuple:
-    """The six evolved moments of each state at each time, as arrays of
-    shape (len(states), len(times)), bit for bit equal to :func:`evolve`."""
+    """The six evolved moments and the Simon value of each state at each
+    time, as arrays of shape (len(states), len(times)), bit for bit equal to
+    :func:`evolve` and simon_criterion.  Raises ValueError where S is not
+    finite, which is how an overflow shows; numpy's warnings are silenced."""
     if not all(t >= 0 for t in times):  # NaN fails it too
         raise ValueError("times must be >= 0")
     terms = np.array([_param_terms(p) for p in states]).reshape(-1, 14).T[:, :, None]
     factors = np.array([_time_factors(ch, t) for t in times]).reshape(-1, 7).T
-    return _combine(terms, factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _combine(terms, factors)
+        s = simon_from_moments(*moments)
+    if not np.isfinite(s).all():
+        raise ValueError("Simon value is not finite on the grid")
+    return moments, s
 
 
 def simon_grid(states, ch: ChannelParams, times) -> np.ndarray:
     """Simon value of each state at each time, shape (len(states),
     len(times)), bit for bit equal to simon_criterion(evolve(p, ch, t))."""
-    s = simon_from_moments(*_evolve_grid(states, ch, times))
-    if not np.isfinite(s).all():
-        raise ValueError("Simon value is not finite on the grid")
-    return s
+    return _evolve_grid(states, ch, times)[1]
 
 
 def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMatrix:
@@ -150,7 +156,7 @@ def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMa
     toward nb_i, correlations decay); evolve(p0, ch, t) equals
     evolve_cm(cm_from_params(p0), ch, t) up to rounding.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails it too
         raise ValueError(f"time must be >= 0, got {t}")
     e1 = math.exp(-2.0 * ch.gamma1 * t)
     e2 = math.exp(-2.0 * ch.gamma2 * t)
@@ -184,13 +190,13 @@ def sample_trajectory(
     p0: GaussianParams, ch: ChannelParams, t_max: float, n_points: int
 ) -> Trajectory:
     """Evaluate the evolved covariance and Simon value on a uniform time grid
-    over [0, t_max], both endpoints included."""
+    over [0, t_max], both endpoints included.  Raises ValueError where S is
+    not finite."""
     if not 0 < t_max < math.inf:
         raise InvalidGrid(f"t_max must be finite and > 0, got {t_max}")
     if n_points < 2:
         raise InvalidGrid(f"n_points must be >= 2, got {n_points}")
     times = tuple(t_max * i / (n_points - 1) for i in range(n_points))
-    moments = _evolve_grid([p0], ch, times)
+    moments, simon = _evolve_grid([p0], ch, times)
     states = tuple(CovarianceMatrix(*row) for row in zip(*(m[0].tolist() for m in moments)))
-    simon = tuple(simon_from_moments(*moments)[0].tolist())
-    return Trajectory(times=times, states=states, simon=simon)
+    return Trajectory(times=times, states=states, simon=tuple(simon[0].tolist()))

@@ -64,29 +64,17 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _analytic_applicable(cfg: RunConfig) -> bool:
-    p, ch = cfg.state, cfg.channel
-    return (
-        p.z1 == p.z2
-        and p.nu1 == 0.0
-        and p.nu2 == 0.0
-        and p.r > 0.0
-        and ch.nb1 == 0.0
-        and ch.nb2 == 0.0
-        and ch.gamma1 == ch.gamma2
-    )
-
-
 def cmd_esd(args) -> int:
     cfg = _load_config(args)
-    numeric = t_esd_numeric(cfg.state, cfg.channel, cfg.time.t_max)
+    p, ch = cfg.state, cfg.channel
+    numeric = t_esd_numeric(p, ch, cfg.time.t_max)
     lines = [("kind", numeric.kind.value)]
     if numeric.t_esd is not None:
         lines.append(("t_esd_numeric", numeric.t_esd))
 
-    analytic = None
-    if _analytic_applicable(cfg):
-        analytic = t_esd_analytic_symmetric(cfg.state.z1, cfg.state.r, cfg.channel.gamma1)
+    # the symmetric pure zero-temperature family of t_esd_analytic_symmetric
+    if p.r > 0 and (p, ch) == (GaussianParams.symmetric(p.z1, p.r), ChannelParams.symmetric(ch.gamma1)):
+        analytic = t_esd_analytic_symmetric(p.z1, p.r, ch.gamma1)
         lines.append(("kind_analytic", analytic.kind.value))
         if analytic.t_esd is not None:
             lines.append(("t_esd_analytic", analytic.t_esd))
@@ -96,9 +84,8 @@ def cmd_esd(args) -> int:
     else:
         lines.append(("kind_analytic", "not-applicable"))
 
-    if cfg.state.z1 == 0.0 and cfg.state.z2 == 0.0:
-        r_min = initial_entanglement_threshold(cfg.state.nu1, cfg.state.nu2)
-        lines.append(("initial_entanglement_threshold", r_min))
+    if p.z1 == 0.0 and p.z2 == 0.0:
+        lines.append(("initial_entanglement_threshold", initial_entanglement_threshold(p.nu1, p.nu2)))
 
     sys.stdout.write("".join(f"{name}: {format_value(value)}\n" for name, value in lines))
     if cfg.output.path != "-":
@@ -147,19 +134,6 @@ ORACLE_GAMMA_T = (0.5, 1.0, 2.0)
 ADVISORY_TAIL_TOL = 1e-3
 
 
-def _oracle_single(p, ch, times, cutoff, tail_tol):
-    """Integrate one configuration, returning rows (t, per-moment deviation,
-    max deviation) against the closed-form evolution."""
-    rows = []
-    worst = 0.0
-    for t, got, _ in fock.chain(p, ch, times, cutoff, tail_tol):
-        want = evolve(p, ch, t)
-        devs = [abs(g - w) for g, w in zip(astuple(got), astuple(want))]
-        worst = max(worst, max(devs))
-        rows.append([t] + devs + [max(devs)])
-    return rows, worst
-
-
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
     cutoff = cfg.oracle.cutoff
@@ -173,7 +147,6 @@ def cmd_oracle_check(args) -> int:
     header = ["config", "t"] + [f"dev_{f.name}" for f in fields(CovarianceMatrix)] + ["max_dev"]
     rows = []
     advisory = False
-    worst = 0.0
     for idx, (p, ch) in enumerate(cases):
         gamma_max = max(ch.gamma1, ch.gamma2)
         times = sorted(cfg.oracle.times or [gt / gamma_max for gt in ORACLE_GAMMA_T])
@@ -183,10 +156,10 @@ def cmd_oracle_check(args) -> int:
             advisory = True
             tail_tol = ADVISORY_TAIL_TOL
             sys.stderr.write("warning: parameters outside certified domain; output is advisory\n")
-        chunk, chunk_worst = _oracle_single(p, ch, times, cutoff, tail_tol)
-        worst = max(worst, chunk_worst)
-        for row in chunk:
-            rows.append([idx] + row)
+        for t, got, _ in fock.chain(p, ch, times, cutoff, tail_tol):
+            devs = [abs(g - w) for g, w in zip(astuple(got), astuple(evolve(p, ch, t)))]
+            rows.append([idx, t, *devs, max(devs)])
+    worst = max(row[-1] for row in rows)
 
     table = _render_table(header, rows, cfg.output.format)
     sys.stdout.write(table)

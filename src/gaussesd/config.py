@@ -34,7 +34,7 @@ class TimeGrid:
     n_points: int = 301
 
     def __post_init__(self):
-        if not self.t_max > 0:
+        if not _require_finite("[time] t_max", self.t_max) > 0:
             raise ConfigError(f"[time] t_max must be > 0, got {self.t_max}")
         if self.n_points < 2:
             raise ConfigError(f"[time] n_points must be >= 2, got {self.n_points}")
@@ -52,7 +52,7 @@ class SweepSpec:
             raise ConfigError(
                 f"[sweep] variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
-        if not self.hi > self.lo:
+        if not _require_finite("[sweep] hi", self.hi) > _require_finite("[sweep] lo", self.lo):
             raise ConfigError(f"[sweep] range must be non-degenerate, got [{self.lo}, {self.hi}]")
         if self.steps < 2:
             raise ConfigError(f"[sweep] steps must be >= 2, got {self.steps}")
@@ -79,7 +79,7 @@ class OracleSpec:
     def __post_init__(self):
         if not 2 <= self.cutoff <= MAX_CUTOFF:
             raise ConfigError(f"[oracle] cutoff must be in [2, {MAX_CUTOFF}], got {self.cutoff}")
-        if any(t <= 0 for t in self.times):
+        if any(_require_finite("[oracle] times", t) <= 0 for t in self.times):
             raise ConfigError("[oracle] times must all be > 0")
 
 
@@ -162,7 +162,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                     raise ConfigError(f"[{section}] {f.name}: cannot parse {raw!r}: {exc}") from exc
         try:
             sections[section] = cls(**values) if default is None else replace(default, **values)
-        except ValueError as exc:  # GaussianParams and ChannelParams raise ValueError
+        except ValueError as exc:  # _require_finite, GaussianParams and ChannelParams
             raise ConfigError(f"{source}: {exc}") from exc
     return RunConfig(**sections)
 

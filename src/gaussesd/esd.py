@@ -228,28 +228,23 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
 
 def initial_entanglement_threshold(nu1: float, nu2: float) -> float:
     """Smallest two-mode squeezing that entangles the initial state with
-    z1 = z2 = 0 and thermal occupations (nu1, nu2):
+    z1 = z2 = 0 and thermal occupations (nu1, nu2), in the paper's form
 
         r_min = arccosh(Q) / 4,
         Q = ((1+nu2)^2 + 2 nu1 (1+nu2)(1+4 nu2) + nu1^2 (1 + 8 nu2 (1+nu2)))
             / (1 + nu1 + nu2)^2.
 
-    States with r0 > r_min have S(0) < 0.  Q is symmetric in (nu1, nu2) and
-    equals 1 (threshold zero) whenever either mode is pure.
+    Q - 1 = 8 nu1 nu2 (1+nu1)(1+nu2) / (1+nu1+nu2)^2 and arccosh(1 + 2 x^2) =
+    2 arcsinh(x) give r_min = arcsinh(2 sqrt(nu1 (1+nu1) nu2 (1+nu2)) /
+    (1+nu1+nu2)) / 2, evaluated so that no digit is lost where Q rounds to 1
+    and nothing overflows where Q would.  States with r0 > r_min have
+    S(0) < 0.  r_min is symmetric in (nu1, nu2) and zero when either mode is
+    pure.
     """
-    if nu1 < 0 or nu2 < 0:
-        raise ValueError(f"occupations must be >= 0, got {nu1}, {nu2}")
-    num = (
-        (1.0 + nu2) ** 2
-        + 2.0 * nu1 * (1.0 + nu2) * (1.0 + 4.0 * nu2)
-        + nu1 * nu1 * (1.0 + 8.0 * nu2 * (1.0 + nu2))
-    )
-    arg = num / (1.0 + nu1 + nu2) ** 2
-    if arg < 1.0:
-        if arg < 1.0 - 1e-9:
-            raise DomainError(f"arccosh argument {arg} below 1")
-        arg = 1.0
-    return 0.25 * math.acosh(arg)
+    if not (0 <= nu1 < math.inf and 0 <= nu2 < math.inf):  # NaN fails it too
+        raise ValueError(f"occupations must be finite and >= 0, got {nu1}, {nu2}")
+    x = math.sqrt(nu1) * math.sqrt(1.0 + nu1) / (0.5 + 0.5 * nu1 + 0.5 * nu2)
+    return 0.5 * math.asinh(x * math.sqrt(nu2) * math.sqrt(1.0 + nu2))
 
 
 def esd_boundary_sweep(r0: float, ch: ChannelParams, z_grid, t_grid) -> np.ndarray:

@@ -13,6 +13,7 @@ from gaussesd import (
     Trajectory,
     cm_from_params,
     count_sign_changes,
+    esd_boundary_sweep,
     evolve,
     evolve_cm,
     evolve_symmetric,
@@ -148,6 +149,8 @@ class TestEvolve:
         cm = cm_from_params(GaussianParams.tmsv(0.5))
         with pytest.raises(ValueError, match="time must be >= 0"):
             evolve_cm(cm, ChannelParams.symmetric(0.1), -0.1)
+        with pytest.raises(ValueError, match="time must be >= 0, got nan"):
+            evolve_cm(cm, ChannelParams.symmetric(0.1), math.nan)
 
 
 class TestSymmetricCase:
@@ -270,6 +273,33 @@ class TestSimonGrid:
             simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, -1.0])
         with pytest.raises(ValueError, match="times must be >= 0"):
             simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, math.nan])
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_simon_curve_rejects_a_negative_or_nan_time(self, t):
+        curve = simon_curve(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1))
+        with pytest.raises(ValueError, match=f"time must be >= 0, got {t}"):
+            curve(t)
+
+
+class TestOverflow:
+    """Moments that overflow give a ValueError naming the Simon value
+    (z = 200: cosh(400) is about 1e173).  Under the suite's warnings-as-errors
+    setting (pyproject.toml) a numpy RuntimeWarning would fail these tests."""
+
+    P = GaussianParams.symmetric(200.0, 1.0)
+    CH = ChannelParams.symmetric(0.1)
+
+    def test_simon_grid(self):
+        with pytest.raises(ValueError, match="Simon value is not finite on the grid"):
+            simon_grid([GaussianParams.tmsv(1.0), self.P], self.CH, [0.0, 1.0])
+
+    def test_sample_trajectory(self):
+        with pytest.raises(ValueError, match="Simon value is not finite on the grid"):
+            sample_trajectory(self.P, self.CH, 30.0, 5)
+
+    def test_esd_boundary_sweep(self):
+        with pytest.raises(ValueError, match="Simon value is not finite on the grid"):
+            esd_boundary_sweep(1.0, self.CH, [0.0, 200.0], [0.0, 1.0])
 
 
 class TestLongTimes:

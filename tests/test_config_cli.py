@@ -11,9 +11,11 @@ import pytest
 from gaussesd import ChannelParams, ConfigError, GaussianParams, cli, evolve, fock, simon_criterion
 from gaussesd.cli import main
 from gaussesd.config import (
+    OracleSpec,
     OutputSpec,
     RunConfig,
     SweepSpec,
+    TimeGrid,
     dump_config,
     format_value,
     parse_config,
@@ -99,6 +101,19 @@ class TestConfig:
             parse_config("[sweep]\nvariable = q\nlo = 0\nhi = 1\nsteps = 5\n")
         with pytest.raises(ConfigError):
             parse_config("[sweep]\nvariable = z0\nlo = 1\nhi = 1\nsteps = 5\n")
+
+    @pytest.mark.parametrize("build", [
+        lambda: TimeGrid(t_max=math.inf),
+        lambda: OracleSpec(times=(1.0, math.nan)),
+        lambda: SweepSpec("t", 0.0, math.inf, 3),
+        lambda: SweepSpec("t", -math.inf, 1.0, 3),
+        lambda: SweepSpec("t", math.nan, 1.0, 3),
+    ], ids=["time-t-max-inf", "oracle-times-nan", "sweep-hi-inf", "sweep-lo-inf", "sweep-lo-nan"])
+    def test_sections_built_directly_reject_non_finite_values(self, build):
+        # the parser's finite_float rejects these first; a section built in
+        # code checks them itself
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
 
     def test_sweep_requires_all_keys(self):
         with pytest.raises(ConfigError, match="missing required key"):
@@ -234,6 +249,15 @@ class TestEvolveCommand:
         bad.write_text("[state]\nnu1 = -1\n")
         assert main(["evolve", "--config", str(bad)]) == 2  # caught at parse time
 
+    def test_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # S overflows to NaN at z = 200; numpy's warnings stay out of stderr
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("[state]\nz1 = 200\nz2 = 200\nr = 1\n")
+        assert main(["evolve", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: Simon value is not finite on the grid\n"
+
     def test_t_max_override(self, tmp_path):
         out = tmp_path / "override.csv"
         main(["evolve", "--config", str(RECIPES / "fig1-blue.cfg"),
@@ -273,6 +297,36 @@ class TestEsdCommand:
         out = capsys.readouterr().out
         assert "kind: Asymptotic" in out
         assert "kind_analytic: Asymptotic" in out
+
+    # the symmetric pure zero-temperature family of t_esd_analytic_symmetric
+    # and each single departure from it
+    ANALYTIC_BASE = {"state": {"z1": "2", "z2": "2", "r": "1", "nu1": "0", "nu2": "0"},
+                     "channel": {"gamma1": "0.1", "gamma2": "0.1", "nb1": "0", "nb2": "0"}}
+
+    @pytest.mark.parametrize("changes, kind", [
+        ({}, "FiniteTime"),
+        ({("state", "z1"): "0", ("state", "z2"): "-0"}, "Asymptotic"),  # -0.0 == 0.0
+        ({("channel", "nb1"): "-0"}, "FiniteTime"),
+        ({("state", "z2"): "1.9"}, None),
+        ({("state", "nu1"): "0.1"}, None),
+        ({("state", "nu2"): "0.1"}, None),
+        ({("channel", "nb1"): "0.1"}, None),
+        ({("channel", "nb2"): "0.1"}, None),
+        ({("channel", "gamma2"): "0.2"}, None),
+        ({("state", "r"): "0"}, None),
+    ], ids=["family", "family-z-zero", "family-minus-zero-nb", "z2-differs", "nu1-mixed",
+            "nu2-mixed", "nb1-heated", "nb2-heated", "gamma2-differs", "r-zero"])
+    def test_analytic_time_only_for_its_family(self, tmp_path, capsys, changes, kind):
+        sections = {name: dict(keys) for name, keys in self.ANALYTIC_BASE.items()}
+        for (section, key), value in changes.items():
+            sections[section][key] = value
+        cfg = tmp_path / "esd.cfg"
+        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for name, keys in sections.items()) + "[time]\nt_max = 60\n")
+        assert main(["esd", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert f"kind_analytic: {kind or 'not-applicable'}\n" in out
+        assert ("t_esd_analytic:" in out) == (kind == "FiniteTime")
 
     def test_initially_separable_reports_threshold(self, tmp_path, capsys):
         cfg = tmp_path / "esd.cfg"
@@ -399,6 +453,17 @@ class TestSweepCommand:
         cfg = tmp_path / "nosweep.cfg"
         cfg.write_text("[state]\nr = 1\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    def test_overflow_is_one_line_on_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(
+            "[state]\nr = 1\n[time]\nt_max = 1\nn_points = 2\n"
+            "[sweep]\nvariable = z0\nlo = 0\nhi = 200\nsteps = 3\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: Simon value is not finite on the grid\n"
 
     def test_physics_domain_error_exit_code(self, tmp_path):
         # squeezing sweep into overflow territory is a domain error (3),

@@ -267,6 +267,32 @@ class TestInitialEntanglementThreshold:
         with pytest.raises(ValueError):
             initial_entanglement_threshold(-0.5, 0.0)
 
+    def test_closed_form_keeps_its_digits(self):
+        # the paper's Q rounds to 1 for small occupations and overflows for
+        # large ones; r_min is evaluated without forming Q
+        assert initial_entanglement_threshold(1e-10, 1e-10) == pytest.approx(1e-10, rel=1e-6)
+        assert initial_entanglement_threshold(0.15, 0.0) == 0.0
+        nus = np.logspace(-3, 3, 25).tolist()
+        checked = 0
+        for nu1 in nus:
+            for nu2 in nus:
+                q = ((1 + nu2) ** 2 + 2 * nu1 * (1 + nu2) * (1 + 4 * nu2)
+                     + nu1 * nu1 * (1 + 8 * nu2 * (1 + nu2))) / (1 + nu1 + nu2) ** 2
+                if q - 1 >= 1e-3:
+                    want = 0.25 * math.acosh(q)
+                    assert initial_entanglement_threshold(nu1, nu2) == pytest.approx(want, rel=1e-12)
+                    checked += 1
+        assert checked > 400
+        assert math.isfinite(initial_entanglement_threshold(1e150, 1e150))
+        # 1 + nu1 + nu2 overflows here; r_min = asinh(about 1e308) / 2
+        assert initial_entanglement_threshold(1e308, 1e308) == pytest.approx(
+            0.5 * math.asinh(1e308), rel=1e-15)
+        for nu in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="occupations must be finite and >= 0"):
+                initial_entanglement_threshold(nu, 0.5)
+            with pytest.raises(ValueError, match="occupations must be finite and >= 0"):
+                initial_entanglement_threshold(0.5, nu)
+
 
 def sign_of(s: float) -> int:
     return 1 if s > 1e-12 else (-1 if s < -1e-12 else 0)
