@@ -15,13 +15,13 @@ class NonPhysicalCM(GaussEsdError):
 
 
 class ExtractionOutOfDomain(GaussEsdError):
-    """A parameter-extraction argument (arctanh/arccosh input, thermal
-    occupation) falls outside its domain beyond the clamping tolerance."""
+    """A parameter-extraction argument (arctanh input, thermal occupation)
+    falls outside its domain beyond the clamping tolerance."""
 
 
 class DomainError(GaussEsdError):
     """An analytic expression was evaluated outside its domain of validity
-    (vanishing denominator, arccosh argument below 1)."""
+    (a vanishing decay-ratio denominator)."""
 
 
 class InvalidGrid(GaussEsdError):

@@ -188,26 +188,17 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
         )
 
     gamma_mean = 0.5 * (ch.gamma1 + ch.gamma2)
-    t_lo = 0.0
-    t = min(1e-3 / gamma_mean, t_max)
-    bracket = None
-    while True:
-        if s_of(t) >= SIGN_TOL:
-            bracket = (t_lo, t)
-            break
-        t_lo = t
-        if t >= t_max:
-            break
-        t = min(t * 1.25, t_max)
+    t_lo, t = 0.0, min(1e-3 / gamma_mean, t_max)
+    while (s := s_of(t)) < SIGN_TOL:
+        if t >= t_max:  # the grid ends at t_max exactly
+            return EsdResult(
+                kind=EsdKind.ASYMPTOTIC,
+                method=EsdMethod.NUMERIC_ROOT,
+                diagnostics={"t_max": t_max, "s_at_t_max": s},
+            )
+        t_lo, t = t, min(t * 1.25, t_max)
 
-    if bracket is None:
-        return EsdResult(
-            kind=EsdKind.ASYMPTOTIC,
-            method=EsdMethod.NUMERIC_ROOT,
-            diagnostics={"t_max": t_max, "s_at_t_max": s_of(t_max)},
-        )
-
-    lo, hi = bracket
+    lo, hi = bracket = (t_lo, t)
     for _ in range(MAX_ITER):
         if hi - lo < TIME_TOL or math.nextafter(lo, hi) == hi:
             break

@@ -29,14 +29,13 @@ step's too, is checked.  The same step taken as two half steps must give the
 same moments; those are read in the Heisenberg picture, tr(A H H rho) =
 tr((H' H' A) rho), by propagating the six moment observables backward
 instead of the state, by the same read-out as the full step's moments.  One
-exponential gives both steps: where E(t) is squared, E(t/2) is its value
-before the last squaring, so E(t/2)^2 equals E(t) bit for bit and the gate
-checks the block arithmetic (gather, block matmuls, scatter,
-backward-propagated observables); unsquared blocks get a Pade step
-of their own for E(t/2).  The tests tie the Pade step to scipy's expm and, by
-the short-time derivative, to the dense master equation.  The state must be
-symmetric with unit trace and positive, which a Cholesky factorisation
-tests; eigenvalues are computed only to report a failure.
+exponential gives both steps: E(t) is squared at least once and E(t/2) is its
+value before the last squaring, so E(t/2)^2 equals E(t) bit for bit and the
+gate checks the block arithmetic (gather, block matmuls, scatter,
+backward-propagated observables).  The tests tie the Pade step to scipy's
+expm and, by the short-time derivative, to the dense master equation.  The
+state must be symmetric with unit trace and positive, which a Cholesky
+factorisation tests; eigenvalues are computed only to report a failure.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -222,13 +221,13 @@ def _expm(stack: np.ndarray, half: bool = False):
     most theta_13, the whole stack goes through one Pade step of matmuls and
     one solve, and each result is squared s times.
 
-    With ``half``, returns (exp(A), exp(A / 2)).  Where s >= 1, exp(A / 2) is
-    the value before the last squaring: A / 2 has half the norm, hence s - 1,
-    and 2^-(s-1) A / 2 is bit for bit the Pade input 2^-s A, so that is what
-    a call on A / 2 would return.  Only where s = 0 does A / 2 get a Pade step
-    of its own."""
+    With ``half``, every matrix is squared at least once and (exp(A),
+    exp(A / 2)) is returned, exp(A / 2) being the value before the last
+    squaring: A / 2 has half the norm, hence s - 1, and 2^-(s-1) A / 2 is bit
+    for bit the Pade input 2^-s A, so that is what a call on A / 2 returns,
+    and its square is exp(A) bit for bit."""
     _, s = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(s, 0)  # norm / 2^s < theta_13; a zero matrix gets s = 0
+    s = np.maximum(s, 1 if half else 0)  # norm / 2^s < theta_13
     a = np.ldexp(stack, -s[:, None, None])
     b = _PADE13
     eye = np.eye(stack.shape[-1])
@@ -246,12 +245,7 @@ def _expm(stack: np.ndarray, half: bool = False):
             h[last] = e[last]
         sq = s > i
         e[sq] = e[sq] @ e[sq]
-    if not half:
-        return e
-    lone = s == 0
-    if lone.any():
-        h[lone] = _expm(0.5 * stack[lone])
-    return e, h
+    return (e, h) if half else e
 
 
 def _thermal_weights(nu: float, cutoff: int) -> np.ndarray:
@@ -397,9 +391,9 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     six observables backward through the half steps instead of the state
     forward, and the full-step ones from the output, the numbers that
     :func:`moments` reports.  E(t) and E(t/2) of both modes come from one
-    :func:`_expm` call; where E(t) is squared, E(t/2) E(t/2) is E(t) bit for
-    bit, so the gate checks the block arithmetic there.  The input must be
-    finite, which one sum over its entries tests (OracleError otherwise).
+    :func:`_expm` call, and E(t/2) E(t/2) is E(t) bit for bit, so the gate
+    checks the block arithmetic.  The input must be finite, which one sum
+    over its entries tests (OracleError otherwise).
     The returned state is validated: symmetry, unit trace, positivity (a
     Cholesky test) and the tail bound (CutoffInsufficient if the bath heats
     the state past the cutoff).  A zero step takes the same path; its blocks

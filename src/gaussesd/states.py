@@ -35,8 +35,8 @@ __all__ = [
     "two_mode_squeezed",
 ]
 
-# Tolerance for clamping arctanh/arccosh arguments that rounding pushed
-# marginally outside their domain.
+# Tolerance for clamping arctanh arguments, and the extracted thermal
+# occupations, that rounding pushed marginally outside their domain.
 CLAMP_TOL = 1e-9
 
 
@@ -174,8 +174,14 @@ def invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
 
 def _square(x):
     # libm pow, as float ** 2 computes it; ndarray ** 2 multiplies instead,
-    # which differs in the last bit on about 0.1% of inputs
-    return x ** 2 if type(x) is float else np.float_power(x, 2.0)
+    # which differs in the last bit on about 0.1% of inputs.  float ** 2
+    # raises where pow overflows; numpy, on arrays, gives inf, and so does this
+    if type(x) is not float:
+        return np.float_power(x, 2.0)
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def simon_from_moments(n1, n2, m1, m2, ms, mc):
@@ -281,18 +287,12 @@ def _two_mode_squeezed_raw(n1, n2, m1, m2, ms, mc, r):
 def locally_squeezed(cm: CovarianceMatrix, s1: float, s2: float) -> CovarianceMatrix:
     """Moments after applying single-mode squeezers (s1 on mode 1, s2 on
     mode 2) to the state.  Leaves all five symplectic invariants unchanged."""
-    n1, n2, m1, m2, ms, mc = _locally_squeezed_raw(
-        cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, s1, s2
-    )
-    return CovarianceMatrix(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=mc)
+    return CovarianceMatrix(*_locally_squeezed_raw(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, s1, s2))
 
 
 def two_mode_squeezed(cm: CovarianceMatrix, r: float) -> CovarianceMatrix:
     """Moments after applying the two-mode squeezer with parameter r."""
-    n1, n2, m1, m2, ms, mc = _two_mode_squeezed_raw(
-        cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, r
-    )
-    return CovarianceMatrix(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=mc)
+    return CovarianceMatrix(*_two_mode_squeezed_raw(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, r))
 
 
 def _clamped_arctanh(x: float, what: str) -> float:

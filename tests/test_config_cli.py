@@ -298,6 +298,15 @@ class TestEsdCommand:
         assert "kind: Asymptotic" in out
         assert "kind_analytic: Asymptotic" in out
 
+    def test_overflowing_simon_value_is_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "esd.cfg"
+        cfg.write_text("[state]\nr = 1\nnu1 = 1e80\nnu2 = 1e80\n"
+                       "[channel]\ngamma1 = 0.1\ngamma2 = 0.1\n")
+        assert main(["esd", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: Simon value is not finite at t=0.0\n"
+
     # the symmetric pure zero-temperature family of t_esd_analytic_symmetric
     # and each single departure from it
     ANALYTIC_BASE = {"state": {"z1": "2", "z2": "2", "r": "1", "nu1": "0", "nu2": "0"},

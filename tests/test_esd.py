@@ -171,6 +171,17 @@ class TestNumericRoot:
         assert num.kind is EsdKind.FINITE_TIME
         assert abs(num.t_esd - ana.t_esd) / ana.t_esd < 1e-9
 
+    @pytest.mark.parametrize("p, ch, t_max", [
+        (GaussianParams.tmsv(1.0), ChannelParams(0.1, 0.5), 20.0),
+        (GaussianParams(0.3, -0.2, 0.8, 0.1, 0.0), ChannelParams(0.2, 0.05), 37.3),
+        (GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), 1e-3),  # one scan time
+    ], ids=["unequal-rates", "asymmetric", "first-scan-time"])
+    def test_asymptotic_reports_the_simon_value_at_t_max(self, p, ch, t_max):
+        # the scan's last value, which is S(t_max) bit for bit
+        res = t_esd_numeric(p, ch, t_max)
+        assert res.kind is EsdKind.ASYMPTOTIC
+        assert res.diagnostics["s_at_t_max"] == simon_criterion(evolve(p, ch, t_max)) < 0.0
+
     def test_scan_past_the_exp_overflow_is_asymptotic(self):
         # the scan reaches 2 gamma t = 1000, where exp(2 gamma t) overflows
         res = t_esd_numeric(GaussianParams.symmetric(0.0, 1.0), ChannelParams.symmetric(0.1), 5000.0)
@@ -217,6 +228,11 @@ class TestNumericRoot:
      ValueError, "t_max must be > 0"),
     (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), -1.0),
      ValueError, "t_max must be > 0"),
+    # (1/4 - |i3|)^2 overflows at nu = 1e80: the scalar square gives inf, as
+    # numpy's does on arrays, and S is named as not finite
+    (lambda: t_esd_numeric(GaussianParams(0.0, 0.0, 1.0, 1e80, 1e80),
+                           ChannelParams.symmetric(0.1), 30.0),
+     ValueError, r"Simon value is not finite at t=0\.0$"),
     (lambda: t_esd_analytic_symmetric(2.0, 0.0, 0.1), ValueError, "need r0 > 0 and gamma > 0"),
     (lambda: t_esd_analytic_symmetric(2.0, 1.0, 0.0), ValueError, "need r0 > 0 and gamma > 0"),
     (lambda: t_esd_analytic_symmetric(2.0, 1.0, -0.1), ValueError, "need r0 > 0 and gamma > 0"),
@@ -225,7 +241,7 @@ class TestNumericRoot:
     (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, -1.0), ValueError,
      "t_esd must be > 0"),
 ], ids=["sweep-negative-times", "sweep-nan-time", "numeric-t-max-zero", "numeric-t-max-negative",
-        "analytic-r0-zero", "analytic-gamma-zero", "analytic-gamma-negative",
+        "numeric-simon-overflow", "analytic-r0-zero", "analytic-gamma-zero", "analytic-gamma-negative",
         "result-t-esd-zero", "result-t-esd-negative"])
 def test_out_of_range_input_rejected(call, error, message):
     with pytest.raises(error, match=message):

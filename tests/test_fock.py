@@ -312,13 +312,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("cutoff", [8, 12, 20])
     def test_one_exponential_per_step_is_the_four_call_reference(self, monkeypatch, cutoff):
-        # E(t) and E(t/2) of both modes from four separate _expm calls; the
-        # short step exponentiates every block unsquared (s = 0), the long
-        # one squares some at least once (s >= 1)
+        # the four propagators E1(t), E2(t), E1(t/2), E2(t/2) built one by
+        # one: E(t/2) from an _expm call on t L / 2 per mode, E(t) as its
+        # square; a call on t L would square no block of the short step
+        # (s = 0) and some of the long one (s >= 1)
         def four_calls(ch, c, t):
             modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-            return tuple(tuple(fock._expm(s * fock._mode_blocks(g, nb, c)) for g, nb in modes)
-                         for s in (t, 0.5 * t))
+            half = tuple(fock._expm(0.5 * t * fock._mode_blocks(g, nb, c)) for g, nb in modes)
+            return tuple(h @ h for h in half), half
 
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
@@ -524,17 +525,19 @@ class TestExpm:
 
     @pytest.mark.parametrize("cutoff", [2, 8, 20, 32])
     def test_half_output_is_the_exponential_of_half(self, cutoff):
-        # where a matrix is squared at least once (s >= 1), exp(A / 2) is its
-        # chain before the last squaring and bit for bit what a call on A / 2
-        # returns; where s = 0 it is that call
+        # with half, every matrix is squared at least once: exp(A / 2) is its
+        # chain before the last squaring, bit for bit what a call on A / 2
+        # returns, and its square is exp(A) bit for bit; where a call on A
+        # squares too (s >= 1), that call gives the same bits
         from scipy.linalg import expm
 
         stack = np.concatenate([(gt / 0.25) * fock._mode_blocks(0.25, nb, cutoff)
                                 for gt in (1e-3, 0.5, 2.0) for nb in (0.0, 0.5)])
         squared = np.abs(stack).sum(axis=-2).max(axis=-1) > fock._THETA13
         e, h = fock._expm(stack, half=True)
-        assert np.array_equal(e, fock._expm(stack))
         assert np.array_equal(h, fock._expm(0.5 * stack))
+        assert np.array_equal(e, h @ h)
+        assert np.array_equal(e[squared], fock._expm(stack)[squared])
         assert np.max(np.abs(h - expm(0.5 * stack))) < 1e-13
         assert np.any(squared) and not np.all(squared)
 

@@ -339,6 +339,14 @@ class TestSimonKernel:
         got = simon_from_moments(*moment_arrays(cms))
         assert np.array_equal(got, [simon_criterion(cm) for cm in cms])
 
+    def test_overflowing_square_is_inf_as_on_arrays(self):
+        # i3 = 1e200 is finite and (1/4 - |i3|)^2 overflows: float ** 2 would
+        # raise OverflowError, numpy gives inf
+        moments = (0.0, 0.0, 0.0, 0.0, 1e100, 0.0)
+        with np.errstate(over="ignore"):
+            got = simon_from_moments(*(np.array([x]) for x in moments))
+        assert simon_from_moments(*moments) == got[0] == math.inf
+
     def test_broadcasts_over_a_grid(self, rng):
         cms = [cm_from_params(p) for p in random_params(rng, 6)]
         n1, n2, m1, m2, ms, mc = moment_arrays(cms)
