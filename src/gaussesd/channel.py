@@ -107,13 +107,14 @@ def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     """
     if not t >= 0:  # NaN fails it too
         raise ValueError(f"time must be >= 0, got {t}")
-    return CovarianceMatrix(*_combine(_param_terms(p0), _time_factors(ch, t)))
+    terms = _param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)
+    return CovarianceMatrix(*_combine(terms, _time_factors(ch, t)))
 
 
 def simon_curve(p0: GaussianParams, ch: ChannelParams):
     """t -> simon_criterion(evolve(p0, ch, t)), bit for bit, with the
     per-state terms computed once and no dataclass per call."""
-    terms = _param_terms(p0)
+    terms = _param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)
 
     def s_of(t: float) -> float:
         if not t >= 0:  # NaN fails it too
@@ -126,14 +127,16 @@ def simon_curve(p0: GaussianParams, ch: ChannelParams):
     return s_of
 
 
-def _evolve_grid(states, ch: ChannelParams, times) -> tuple:
+def _evolve_grid(rows, ch: ChannelParams, times) -> tuple:
     """The six evolved moments and the Simon value of each state at each
-    time, as arrays of shape (len(states), len(times)), bit for bit equal to
-    :func:`evolve` and simon_criterion.  Raises ValueError where S is not
-    finite, which is how an overflow shows; numpy's warnings are silenced."""
+    time, as arrays of shape (len(rows), len(times)), bit for bit equal to
+    :func:`evolve` and simon_criterion.  Each row holds one state's
+    (z1, z2, r, nu1, nu2) as floats that GaussianParams would accept; the
+    caller has checked them.  Raises ValueError where S is not finite, which
+    is how an overflow shows; numpy's warnings are silenced."""
     if not all(t >= 0 for t in times):  # NaN fails it too
         raise ValueError("times must be >= 0")
-    terms = np.array([_param_terms(p) for p in states]).reshape(-1, 14).T[:, :, None]
+    terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 14).T[:, :, None]
     factors = np.array([_time_factors(ch, t) for t in times]).reshape(-1, 7).T
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _combine(terms, factors)
@@ -146,7 +149,8 @@ def _evolve_grid(states, ch: ChannelParams, times) -> tuple:
 def simon_grid(states, ch: ChannelParams, times) -> np.ndarray:
     """Simon value of each state at each time, shape (len(states),
     len(times)), bit for bit equal to simon_criterion(evolve(p, ch, t))."""
-    return _evolve_grid(states, ch, times)[1]
+    rows = [(p.z1, p.z2, p.r, p.nu1, p.nu2) for p in states]
+    return _evolve_grid(rows, ch, times)[1]
 
 
 def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMatrix:
@@ -197,6 +201,6 @@ def sample_trajectory(
     if n_points < 2:
         raise InvalidGrid(f"n_points must be >= 2, got {n_points}")
     times = tuple(t_max * i / (n_points - 1) for i in range(n_points))
-    moments, simon = _evolve_grid([p0], ch, times)
+    moments, simon = _evolve_grid([(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)], ch, times)
     states = tuple(CovarianceMatrix(*row) for row in zip(*(m[0].tolist() for m in moments)))
     return Trajectory(times=times, states=states, simon=tuple(simon[0].tolist()))

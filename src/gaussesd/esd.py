@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, simon_curve, simon_grid
+from .channel import ChannelParams, _evolve_grid, simon_curve
 from .errors import BudgetExceeded, DomainError, InvalidGrid
-from .states import GaussianParams
+from .states import GaussianParams, _require_finite
 
 __all__ = [
     "EsdKind",
@@ -243,7 +243,10 @@ def esd_boundary_sweep(r0: float, ch: ChannelParams, z_grid, t_grid) -> np.ndarr
     states (z1 = z2 = z) with two-mode squeezing r0.
 
     Returns an int matrix of shape (len(z_grid), len(t_grid)) holding -1
-    (entangled), +1 (separable) or 0 (inside the numerical dead band).
+    (entangled), +1 (separable) or 0 (inside the numerical dead band).  The
+    inputs are checked once: InvalidGrid unless both grids are non-empty,
+    1-d and strictly increasing, every z is finite and every t is >= 0;
+    ValueError unless r0 is finite.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -253,6 +256,9 @@ def esd_boundary_sweep(r0: float, ch: ChannelParams, z_grid, t_grid) -> np.ndarr
         raise InvalidGrid("grids must be strictly increasing")
     if not np.all(t_grid >= 0):  # NaN fails it too
         raise InvalidGrid("times must be >= 0")
+    if not np.isfinite(z_grid).all():
+        raise InvalidGrid("z_grid must be finite")
+    r0 = _require_finite("r0", r0)
 
-    states = [GaussianParams.symmetric(z, r0) for z in z_grid.tolist()]
-    return simon_sign(simon_grid(states, ch, t_grid.tolist()))
+    rows = [(z, z, r0, 0.0, 0.0) for z in z_grid.tolist()]
+    return simon_sign(_evolve_grid(rows, ch, t_grid.tolist())[1])

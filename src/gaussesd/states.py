@@ -216,19 +216,20 @@ def simon_criterion_no_squeezing(n1: float, n2: float, mc: float) -> float:
     return w1 * w2 - mc * mc
 
 
-def _param_terms(p: GaussianParams) -> tuple:
+def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tuple:
     """Per-state factors of the closed-form moments, grouped by moment
-    (math.cosh/sinh, so that every caller gets the same bits)."""
-    chr2 = math.cosh(p.r) ** 2
-    shr2 = math.sinh(p.r) ** 2
-    psum = 1.0 + p.nu1 + p.nu2
-    ch2r = math.cosh(2.0 * p.r)
+    (math.cosh/sinh, so that every caller gets the same bits).  The five
+    floats are those of a valid GaussianParams; they are not checked here."""
+    chr2 = math.cosh(r) ** 2
+    shr2 = math.sinh(r) ** 2
+    psum = 1.0 + nu1 + nu2
+    ch2r = math.cosh(2.0 * r)
     return (
-        math.cosh(2.0 * p.z1) * (p.nu1 * chr2 + (1.0 + p.nu2) * shr2), math.sinh(p.z1) ** 2,
-        math.cosh(2.0 * p.z2) * (p.nu2 * chr2 + (1.0 + p.nu1) * shr2), math.sinh(p.z2) ** 2,
-        p.nu1 - p.nu2 + psum * ch2r, math.cosh(p.z1), math.sinh(p.z1),
-        p.nu2 - p.nu1 + psum * ch2r, math.cosh(p.z2), math.sinh(p.z2),
-        psum, math.cosh(p.z1 + p.z2), math.sinh(p.z1 + p.z2), math.sinh(2.0 * p.r),
+        math.cosh(2.0 * z1) * (nu1 * chr2 + (1.0 + nu2) * shr2), math.sinh(z1) ** 2,
+        math.cosh(2.0 * z2) * (nu2 * chr2 + (1.0 + nu1) * shr2), math.sinh(z2) ** 2,
+        nu1 - nu2 + psum * ch2r, math.cosh(z1), math.sinh(z1),
+        nu2 - nu1 + psum * ch2r, math.cosh(z2), math.sinh(z2),
+        psum, math.cosh(z1 + z2), math.sinh(z1 + z2), math.sinh(2.0 * r),
     )
 
 
@@ -249,7 +250,8 @@ def _combine(terms, decay) -> tuple:
 def cm_from_params(p: GaussianParams) -> CovarianceMatrix:
     """Forward map from state parameters to the six second moments: the
     closed form of the channel at t = 0."""
-    return CovarianceMatrix(*_combine(_param_terms(p), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5)))
+    terms = _param_terms(p.z1, p.z2, p.r, p.nu1, p.nu2)
+    return CovarianceMatrix(*_combine(terms, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5)))
 
 
 def _locally_squeezed_raw(n1, n2, m1, m2, ms, mc, s1, s2):

@@ -224,6 +224,12 @@ class TestNumericRoot:
      InvalidGrid, "times must be >= 0"),
     (lambda: esd_boundary_sweep(1.0, ChannelParams.symmetric(0.1), [0.0, 1.0], [math.nan, 0.5]),
      InvalidGrid, "times must be >= 0"),
+    (lambda: esd_boundary_sweep(1.0, ChannelParams.symmetric(0.1), [0.0, math.nan], [0.5]),
+     InvalidGrid, "z_grid must be finite"),
+    (lambda: esd_boundary_sweep(1.0, ChannelParams.symmetric(0.1), [0.0, math.inf], [0.5]),
+     InvalidGrid, "z_grid must be finite"),
+    (lambda: esd_boundary_sweep(math.nan, ChannelParams.symmetric(0.1), [0.0, 1.0], [0.5]),
+     ValueError, "r0 must be finite"),
     (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), 0.0),
      ValueError, "t_max must be > 0"),
     (lambda: t_esd_numeric(GaussianParams.tmsv(1.0), ChannelParams.symmetric(0.1), -1.0),
@@ -240,7 +246,8 @@ class TestNumericRoot:
      "t_esd must be > 0"),
     (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, -1.0), ValueError,
      "t_esd must be > 0"),
-], ids=["sweep-negative-times", "sweep-nan-time", "numeric-t-max-zero", "numeric-t-max-negative",
+], ids=["sweep-negative-times", "sweep-nan-time", "sweep-nan-z", "sweep-inf-z", "sweep-nan-r0",
+        "numeric-t-max-zero", "numeric-t-max-negative",
         "numeric-simon-overflow", "analytic-r0-zero", "analytic-gamma-zero", "analytic-gamma-negative",
         "result-t-esd-zero", "result-t-esd-negative"])
 def test_out_of_range_input_rejected(call, error, message):
@@ -339,9 +346,11 @@ class TestBoundarySweep:
         assert t_grid[flips[0] - 1] <= T_ESD_Z2_R1_G01 <= t_grid[flips[0]]
 
     @pytest.mark.parametrize("ch", [ChannelParams.symmetric(0.1),
-                                    ChannelParams(0.07, 0.19, 0.3, 0.05)])
+                                    ChannelParams(0.07, 0.19, 0.3, 0.05),
+                                    ChannelParams(0.3, 0.05, 0.0, 0.4)])
     def test_matches_per_cell_signs(self, ch):
-        # zero temperature, then a heated grid with unequal rates
+        # zero temperature, a heated grid with unequal rates, then one cold
+        # and one hot mode at unequal rates
         z_grid = np.linspace(0.0, 3.5, 23)
         t_grid = np.linspace(0.0, 60.0, 31)
         signs = esd_boundary_sweep(1.0, ch, z_grid, t_grid)
