@@ -351,6 +351,27 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="read-only"):
             fock._block_index(8)[0, 0] = 0
 
+    def test_step_propagator_cache_holds_one_step(self, monkeypatch):
+        # times a, 2a, 4a take steps a, a, 2a (2a - a is a exactly): the
+        # second step is a hit, the first and third are misses
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
+        a = 0.7
+        cache = fock._step_propagators
+        cache.cache_clear()
+        fock.chain(p, ch, [a, 2 * a, 4 * a], 8, tail_tol=1.0)
+        info = cache.cache_info()
+        assert (info.maxsize, info.currsize, info.hits, info.misses) == (1, 1, 1, 2)
+        for stack in (s for pair in cache(ch, 8, 2 * a) for s in pair):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 0
+        rho = build_initial_state(p, 8, tail_tol=1.0)
+        hit = integrate(rho, ch, 2 * a, tail_tol=1.0)
+        assert cache.cache_info().hits == 3
+        monkeypatch.setattr(fock, "_step_propagators", cache.__wrapped__)
+        fresh = integrate(rho, ch, 2 * a, tail_tol=1.0)
+        assert hit.data.tobytes() == fresh.data.tobytes()
+
     def test_split_invariance(self):
         p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
         ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
@@ -616,7 +637,8 @@ class TestMoments:
 
 def traced_peak(call):
     """Peak bytes that numpy and Python allocate during call(), measured after
-    one untraced warm-up call has filled the per-cutoff caches."""
+    one untraced warm-up call has filled the caches; a call that must not
+    hit a cache clears it itself."""
     call()
     tracemalloc.start()
     try:
@@ -634,9 +656,15 @@ class TestAllocation:
 
     def test_integrate_peak(self):
         # the gather's copy, the scatter target and validate's parity blocks:
-        # at most four cutoff^4 arrays of float64 at once
+        # at most four cutoff^4 arrays of float64 at once; the step's
+        # propagators are computed anew, not taken from the warm-up call
         rho, ch = self.state(), ChannelParams(0.25, 0.2, 0.25, 0.1)
-        peak = traced_peak(lambda: integrate(rho, ch, 4.0))
+
+        def step():
+            fock._step_propagators.cache_clear()
+            integrate(rho, ch, 4.0)
+
+        peak = traced_peak(step)
         assert peak <= 4 * self.CUTOFF**4 * 8, f"{peak / 1e6:.2f} MB"
 
     def test_moments_peak(self):
