@@ -54,6 +54,8 @@ class SweepSpec:
             )
         if not _require_finite("[sweep] hi", self.hi) > _require_finite("[sweep] lo", self.lo):
             raise ConfigError(f"[sweep] range must be non-degenerate, got [{self.lo}, {self.hi}]")
+        if self.variable in ("nu", "t") and self.lo < 0:
+            raise ConfigError(f"[sweep] lo must be >= 0 for variable {self.variable}, got {self.lo}")
         if self.steps < 2:
             raise ConfigError(f"[sweep] steps must be >= 2, got {self.steps}")
 

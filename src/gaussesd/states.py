@@ -172,23 +172,14 @@ def invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     return SymplecticInvariants(*_local_invariants(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc), iv)
 
 
-def _square(x):
-    # libm pow, as float ** 2 computes it; ndarray ** 2 multiplies instead,
-    # which differs in the last bit on about 0.1% of inputs.  float ** 2
-    # raises where pow overflows; numpy, on arrays, gives inf, and so does this
-    if type(x) is not float:
-        return np.float_power(x, 2.0)
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def simon_from_moments(n1, n2, m1, m2, ms, mc):
     """Simon value from the six moments, elementwise on floats or on
-    broadcastable arrays, bit for bit the same either way."""
+    broadcastable arrays, bit for bit the same either way: every square is a
+    product, which IEEE arithmetic rounds alike on both (an overflowing
+    product is inf, never an exception)."""
     i1, i2, i3, i4 = _local_invariants(n1, n2, m1, m2, ms, mc)
-    return i1 * i2 + _square(0.25 - abs(i3)) - i4 - 0.25 * (i1 + i2)
+    w = 0.25 - abs(i3)
+    return i1 * i2 + w * w - i4 - 0.25 * (i1 + i2)
 
 
 def simon_criterion(cm: CovarianceMatrix) -> float:
@@ -219,18 +210,22 @@ def simon_criterion_no_squeezing(n1: float, n2: float, mc: float) -> float:
 def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tuple:
     """Per-state factors of the closed-form moments, grouped by moment
     (math.cosh/sinh, so that every caller gets the same bits).  The five
-    floats are those of a valid GaussianParams; they are not checked here."""
-    chr2 = math.cosh(r) ** 2
-    shr2 = math.sinh(r) ** 2
-    psum = 1.0 + nu1 + nu2
-    ch2r = math.cosh(2.0 * r)
-    return (
-        math.cosh(2.0 * z1) * (nu1 * chr2 + (1.0 + nu2) * shr2), math.sinh(z1) ** 2,
-        math.cosh(2.0 * z2) * (nu2 * chr2 + (1.0 + nu1) * shr2), math.sinh(z2) ** 2,
-        nu1 - nu2 + psum * ch2r, math.cosh(z1), math.sinh(z1),
-        nu2 - nu1 + psum * ch2r, math.cosh(z2), math.sinh(z2),
-        psum, math.cosh(z1 + z2), math.sinh(z1 + z2), math.sinh(2.0 * r),
-    )
+    floats are those of a valid GaussianParams; they are not checked here.
+    Where a factor overflows, the OverflowError names z1, z2 and r."""
+    try:
+        chr2 = math.cosh(r) ** 2
+        shr2 = math.sinh(r) ** 2
+        psum = 1.0 + nu1 + nu2
+        ch2r = math.cosh(2.0 * r)
+        return (
+            math.cosh(2.0 * z1) * (nu1 * chr2 + (1.0 + nu2) * shr2), math.sinh(z1) ** 2,
+            math.cosh(2.0 * z2) * (nu2 * chr2 + (1.0 + nu1) * shr2), math.sinh(z2) ** 2,
+            nu1 - nu2 + psum * ch2r, math.cosh(z1), math.sinh(z1),
+            nu2 - nu1 + psum * ch2r, math.cosh(z2), math.sinh(z2),
+            psum, math.cosh(z1 + z2), math.sinh(z1 + z2), math.sinh(2.0 * r),
+        )
+    except OverflowError:
+        raise OverflowError(f"closed-form moments overflow at z1={z1}, z2={z2}, r={r}") from None
 
 
 def _combine(terms, decay) -> tuple:

@@ -179,7 +179,9 @@ class TestConfig:
         ("sweep", "sweep", "steps", "variable = z0\nlo = 0\nhi = 1\nsteps = 1\n"),
         ("evolve", "output", "format", "format = xml\n"),
         ("oracle-check", "oracle", "times", "times = 0\n"),
-    ], ids=["t_max", "n_points", "steps", "format", "times"])
+        ("sweep", "sweep", "lo", "variable = nu\nlo = -1\nhi = 1\nsteps = 3\n"),
+        ("sweep", "sweep", "lo", "variable = t\nlo = -1\nhi = 1\nsteps = 3\n"),
+    ], ids=["t_max", "n_points", "steps", "format", "times", "nu_lo", "t_lo"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, section, key,
                                                 text):
         cfg = tmp_path / "c.cfg"
@@ -216,6 +218,15 @@ class TestEvolveCommand:
         _, rows = read_csv(out)
         for row in rows:
             assert all(v == 0.0 for v in row[1:])
+
+    @pytest.mark.parametrize("command", ["evolve", "esd"])
+    def test_overflowing_squeezing_is_named_domain_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "z400.cfg"
+        cfg.write_text("[state]\nz1 = 400\nz2 = 400\nr = 1\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: closed-form moments overflow at z1=400.0, z2=400.0, r=1.0\n"
+        )
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -474,7 +485,7 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == "domain error: Simon value is not finite on the grid\n"
 
-    def test_physics_domain_error_exit_code(self, tmp_path):
+    def test_physics_domain_error_exit_code(self, tmp_path, capsys):
         # squeezing sweep into overflow territory is a domain error (3),
         # not a config error: the config itself is well-formed
         cfg = tmp_path / "overflow.cfg"
@@ -484,6 +495,9 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(cfg), "--workers", "1",
                      "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: closed-form moments overflow at z1=0.0, z2=0.0, r=500.0\n"
+        )
 
 
 class TestRecipeBytes:

@@ -306,7 +306,8 @@ def literal_simon(cm):
     prod = mm(mm([[a, cm.m1], [cm.m1, a]], zcz), mm([[b, cm.m2], [cm.m2, b]], zcz))
     i1, i2 = a * a - cm.m1 * cm.m1, b * b - cm.m2 * cm.m2
     i3 = cm.ms * cm.ms - cm.mc * cm.mc
-    return i1 * i2 + (0.25 - abs(i3)) ** 2 - (prod[0][0] + prod[1][1]) - 0.25 * (i1 + i2)
+    w = 0.25 - abs(i3)
+    return i1 * i2 + w * w - (prod[0][0] + prod[1][1]) - 0.25 * (i1 + i2)
 
 
 def moment_arrays(cms):
@@ -324,6 +325,9 @@ class TestSimonKernel:
             f = rng.choice([-1.0, 1.0], 4)
             cms.append(CovarianceMatrix(cm.n1, cm.n2, f[0] * cm.m1, f[1] * cm.m2,
                                         f[2] * cm.ms, f[3] * cm.mc))
+        # squaring by pow would move the bits of these states
+        w = [0.25 - abs(cm.ms * cm.ms - cm.mc * cm.mc) for cm in cms]
+        assert any(x ** 2 != x * x for x in w)
         got = simon_from_moments(*moment_arrays(cms))
         assert got.dtype == np.float64
         assert np.array_equal(got, [simon_criterion(cm) for cm in cms])
@@ -340,8 +344,8 @@ class TestSimonKernel:
         assert np.array_equal(got, [simon_criterion(cm) for cm in cms])
 
     def test_overflowing_square_is_inf_as_on_arrays(self):
-        # i3 = 1e200 is finite and (1/4 - |i3|)^2 overflows: float ** 2 would
-        # raise OverflowError, numpy gives inf
+        # i3 = 1e200 is finite and (1/4 - |i3|)^2 overflows: a float product
+        # overflows to inf and never raises, as on arrays
         moments = (0.0, 0.0, 0.0, 0.0, 1e100, 0.0)
         with np.errstate(over="ignore"):
             got = simon_from_moments(*(np.array([x]) for x in moments))
