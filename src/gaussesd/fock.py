@@ -16,26 +16,35 @@ equation and the initial state written out on whole matrices.  Matrix
 exponentials are numpy matmuls and solves, so the oracle runs on numpy's BLAS
 alone.
 
-The work is kept to few cutoff^4-sized arrays: the initial state applies the
-single-mode squeezers one index at a time, with no Kronecker product; a step
-propagates one gathered copy of the state in place; the checks copy each
-parity block once.  Each moment is read from the one (k1, k2) block of the
-state that its observable reaches, as a view with no copy.  The gather index
-depends on the cutoff alone and is built once and kept, read-only, for the
-last cutoff.  A step's propagators E and H depend on (channel, cutoff, t)
-alone and are kept, read-only, for the last step: 256 kB at cutoff 20, 1 MB
-at MAX_CUTOFF.  A chain that repeats a step length, as gamma t = 0.5, 1, 2
-does, skips that step's exponential.  Both caches hold exactly what a fresh
-call returns, so no result depends on the call history.
+A state is held in block form: rho regrouped as X[(n1 m1), (n2 m2)], each
+mode's pairs (n, m) in order of the diagonal k = n - m, split into the half
+with k1 and k2 both even and the half with both odd, as views into one flat
+buffer; the blocks with k1 + k2 odd are exactly 0 and are not held.  Each
+half is cutoff^2 / 2 square, half the width of the dense matrix.  The
+initial state applies the single-mode squeezers one index at a time, with
+no Kronecker product, and is gathered into the halves once; a step
+propagates each half from one buffer into a new one, and no step goes back
+to the dense matrix, which is scattered only when a caller reads it.  Each
+moment is read from the one (k1, k2) block that its observable reaches, a
+slice of its half with no copy, and the trace and the tail from block
+(0, 0), rho's diagonal.  The checks gather rho's two parity blocks of
+n1 + n2 from the buffer once, through an index that depends on the cutoff
+alone and is kept, read-only, for the last cutoff.  A step's propagators E
+and H depend on (channel, cutoff, t) alone and are kept, read-only, for the
+last step: 256 kB at cutoff 20, 1 MB at MAX_CUTOFF.  A chain that repeats a
+step length, as gamma t = 0.5, 1, 2 does, skips that step's exponential.
+Both caches hold exactly what a fresh call returns, so no result depends on
+the call history.
 
-Every step's input must be finite, and every propagated state, a zero
-step's too, is checked.  The same step taken as two half steps must give the
-same moments; those are read in the Heisenberg picture, tr(A H H rho) =
-tr((H' H' A) rho), by propagating the six moment observables backward
-instead of the state, by the same read-out as the full step's moments.  One
+Every step's input must be finite and hold no entries between the parity
+blocks, and every propagated state, a zero step's too, is checked.  The
+same step taken as two half steps must give the same moments; those are
+read in the Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho), by
+propagating the moment observables backward instead of the state, by the
+same read-out as the full step's moments.  One
 exponential gives both steps: E(t) is squared at least once and E(t/2) is its
 value before the last squaring, so E(t/2)^2 equals E(t) bit for bit and the
-gate checks the block arithmetic (gather, block matmuls, scatter,
+gate checks the block arithmetic (block matmuls on the halves,
 backward-propagated observables).  The tests tie the Pade step to scipy's
 expm and, by the short-time derivative, to the dense master equation.  The
 state must be symmetric with unit trace and positive, which a Cholesky
@@ -50,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,41 +103,75 @@ def in_certified_domain(p: GaussianParams, ch: ChannelParams, t: float, cutoff: 
     )
 
 
-@dataclass
 class FockDensityMatrix:
     """Two-mode density operator truncated to ``cutoff`` Fock levels per
-    mode, stored as a dense real (float64) matrix in the |n1, n2> basis.
+    mode, held in block form: the real (float64) entries of rho regrouped as
+    X[(n1 m1), (n2 m2)], in the two parity halves of :func:`_layout`, as views
+    into one flat buffer.  The entries between the parity blocks of n1 + n2
+    are not held; the dynamics keep them 0.
 
     The storage is real because the dynamics keep it real: the ladder
     operators, the squeezer generators with real z and r, the thermal weights
     and the damping generators all have real Fock matrix elements, so a real
     state stays real (Serafini, *Quantum Continuous Variables*, ch. 5).
-    Complex ``data`` is accepted only when its imaginary part is exactly
-    zero; otherwise NonNegligibleImaginaryPart is raised here, at entry.
+    ``FockDensityMatrix(cutoff=..., data=...)`` takes the dense matrix in the
+    |n1, n2> basis.  Complex ``data`` is accepted only when its imaginary part
+    is exactly zero; otherwise NonNegligibleImaginaryPart is raised here, at
+    entry.  A copy of ``data`` is kept: it is what :attr:`data` returns, and
+    the whole matrix that :meth:`validate` checks when entries between the
+    parity blocks are nonzero, a state that :func:`integrate` refuses.
     """
 
-    cutoff: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
-        data = np.asarray(self.data)
-        d = self.cutoff * self.cutoff
+    def __init__(self, cutoff: int, data):
+        if cutoff < 2:
+            raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+        data = np.asarray(data)
+        d = cutoff * cutoff
         if data.shape != (d, d):
-            raise ValueError(f"data must be {d}x{d} for cutoff {self.cutoff}")
+            raise ValueError(f"data must be {d}x{d} for cutoff {cutoff}")
         if np.iscomplexobj(data):
             if np.any(data.imag):
                 worst = np.max(np.abs(data.imag))
                 raise NonNegligibleImaginaryPart(
                     f"density matrix has imaginary parts up to {worst:.3e}")
             data = data.real
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.array(data, dtype=np.float64)
+        data.flags.writeable = False
+        even, odd = _layout(cutoff)[2]
+        rows_even, rows_odd = data.take(even, 0), data.take(odd, 0)
+        self.cutoff = cutoff
+        self._data = data
+        self._cross = bool(np.any(rows_even.take(odd, 1)) or np.any(rows_odd.take(even, 1)))
+        self._buf = _buffer(cutoff, [rows_even.take(even, 1), rows_odd.take(odd, 1)])
+
+    @classmethod
+    def _from_buffer(cls, cutoff: int, buf: np.ndarray) -> FockDensityMatrix:
+        """The state whose block form is ``buf``, which it takes read-only."""
+        state = cls.__new__(cls)
+        buf.flags.writeable = False
+        state.cutoff, state._buf, state._cross, state._data = cutoff, buf, False, None
+        return state
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense matrix rho[(n1 n2), (m1 m2)], read-only; a state made in
+        block form scatters it at the first read."""
+        if self._data is None:
+            self._data = _scatter(self.cutoff, self._buf)
+            self._data.flags.writeable = False
+        return self._data
+
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal of rho as a (cutoff, cutoff) array over (n1, n2): a
+        copy of block (0, 0) of the even half."""
+        n = self.cutoff
+        a = _layout(n)[0][n]
+        return _halves(self._buf, n)[0][a : a + n, a : a + n].copy()
 
     def tail_population(self) -> float:
         """Worst-mode population of the top two Fock levels."""
         n = self.cutoff
-        diag = np.diagonal(self.data).reshape(n, n)
+        diag = self._diagonal()
         return float(max(diag[n - 2 :, :].sum(), diag[:, n - 2 :].sum()))
 
     def validate(self, tail_tol: float = TAIL_TOL) -> None:
@@ -138,31 +180,26 @@ class FockDensityMatrix:
         tail_tol (else CutoffInsufficient).
 
         The symmetry and positivity gates work on the two parity blocks of
-        n1 + n2 when all entries between them are exactly 0, else on a copy
-        of the whole matrix; the blocks are copied once, taking rows, then
-        columns.  d - d^T is exactly 0 on cross entries that are 0, so the
-        blocks give the whole matrix's asymmetry.  A block passes the
-        positivity gate when its Cholesky factorisation with 1e-8 added to
-        the diagonal (in place, on the copy) succeeds, that is when it is
-        definite (Higham, *Accuracy and Stability of Numerical Algorithms*,
-        2nd ed., ch. 10).  Only when one fails are the eigenvalues of the
-        unshifted blocks computed; the smallest must then be below -1e-8 to
-        raise, and the message names it."""
-        d = self.data
-        n = np.arange(self.cutoff)
-        parity = np.add.outer(n, n).ravel() % 2
-        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-        rows_even, rows_odd = d.take(even, axis=0), d.take(odd, axis=0)
-        cross = np.any(rows_even.take(odd, axis=1)) or np.any(rows_odd.take(even, axis=1))
-        blocks = [d.copy()] if cross else [rows_even.take(even, axis=1), rows_odd.take(odd, axis=1)]
-        del rows_even, rows_odd
+        n1 + n2, gathered from the buffer in one take through the index of
+        :func:`_layout`, when all entries between them are exactly 0, else on
+        a copy of the whole matrix.  d - d^T is exactly 0 on cross entries
+        that are 0, so the blocks give the whole matrix's asymmetry.  A block
+        passes the positivity gate when its Cholesky factorisation with 1e-8
+        added to the diagonal (in place, on the copy) succeeds, that is when
+        it is definite (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., ch. 10).  Only when one fails are the
+        eigenvalues of the unshifted blocks computed; the smallest must then
+        be below -1e-8 to raise, and the message names it.  The trace and the
+        tail are read from block (0, 0), rho's diagonal."""
+        n = self.cutoff
+        blocks = [self.data.copy()] if self._cross else _halves(self._buf[_layout(n)[3]], n)
         # b - b^T is exactly antisymmetric in floating point, so its maximum
         # is its largest modulus; each gate is written so that NaN fails it,
         # and the reduction over blocks is numpy's, which keeps a NaN
         asym = float(np.max([np.max(b - b.T) for b in blocks]))
         if not asym <= 1e-10:
             raise OracleError(f"density matrix not symmetric: max asymmetry {asym:.3e}")
-        tr = float(np.trace(d))
+        tr = float(self._diagonal().sum())
         if not abs(tr - 1.0) <= 1e-8:
             raise OracleError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         diags = [b.diagonal().copy() for b in blocks]
@@ -270,7 +307,10 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     and is exponentiated by those blocks, and so is M = S2 sigma S2' formed,
     one block product per n1 - n2.  S1 = u1 (x) u2 then applies to
     M[n1, n2, m1, m2] one factor per index, as four cutoff x cutoff by
-    cutoff x cutoff^3 products, with no Kronecker product.  Raises ValueError
+    cutoff x cutoff^3 products, with no Kronecker product.  The state's
+    parity blocks of n1 + n2 are taken from the result, symmetrized and
+    gathered into its block form; the entries between them are exactly 0,
+    since every factor keeps the parity.  Raises ValueError
     unless 2 <= cutoff <= MAX_CUTOFF, and CutoffInsufficient when the tail
     population exceeds ``tail_tol``.
     """
@@ -287,9 +327,10 @@ def build_initial_state(p: GaussianParams, cutoff: int,
         m[np.ix_(sel, sel)] = (b * w[sel]) @ b.T
     for u in (u1, u2, u1, u2):  # u on the leading index, which then moves last
         m = m.reshape(cutoff, -1).T @ u.T
-    rho = m.reshape(cutoff * cutoff, cutoff * cutoff)
-    rho = 0.5 * (rho + rho.T)
-    state = FockDensityMatrix(cutoff=cutoff, data=rho)
+    m = m.reshape(cutoff * cutoff, cutoff * cutoff)
+    blocks = [m[np.ix_(r, r)] for r in _layout(cutoff)[2]]
+    buf = _buffer(cutoff, [0.5 * (b + b.T) for b in blocks])
+    state = FockDensityMatrix._from_buffer(cutoff, buf)
     tail = state.tail_population()
     if not tail <= tail_tol:
         raise CutoffInsufficient(
@@ -311,48 +352,55 @@ def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     return _tridiagonal(cutoff, diag, 2.0 * gamma * (nb + 1.0), 2.0 * gamma * nb)
 
 
-def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y <- F1 y F2^T in place, for y in block order and F1, F2 block stacks
-    as in :func:`_step_propagators`: one small matmul per block on its rows,
-    then on its columns.  Returns y."""
-    c = f1.shape[-1]
-    ks = np.abs(np.arange(1 - c, c))
-    bounds = np.cumsum(np.r_[0, c - ks])
-    for lo, hi, k in zip(bounds, bounds[1:], ks):
-        y[lo:hi] = f1[k, : hi - lo, : hi - lo] @ y[lo:hi]
-    for lo, hi, k in zip(bounds, bounds[1:], ks):
-        y[:, lo:hi] = y[:, lo:hi] @ f2[k, : hi - lo, : hi - lo].T
-    return y
+def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray, out: np.ndarray,
+           spans) -> np.ndarray:
+    """out <- F1 y F2^T, for y and out one half of a state in block form with
+    the (|k|, lo, hi) ``spans`` of its diagonals (:func:`_layout`), and F1,
+    F2 block stacks as in :func:`_step_propagators`: one small matmul per
+    diagonal on its rows, from y into out, then on its columns, in place.
+    Returns out."""
+    for k, lo, hi in spans:
+        np.matmul(f1[k, : hi - lo, : hi - lo], y[lo:hi], out=out[lo:hi])
+    for k, lo, hi in spans:
+        out[:, lo:hi] = out[:, lo:hi] @ f2[k, : hi - lo, : hi - lo].T
+    return out
 
 
-def _moments(d: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The six moments, in CovarianceMatrix order, of the state that the
-    steps (F1, F2) make of rho = d, each F1 X F2^T in turn on rho regrouped
-    as X[(n1 m1), (n2 m2)], for F1, F2 block stacks as in
-    :func:`_step_propagators`; of rho itself with no steps.
+    steps (F1, F2) make of the state in block form ``buf``, each F1 X F2^T in
+    turn on rho regrouped as X[(n1 m1), (n2 m2)], for F1, F2 block stacks as
+    in :func:`_step_propagators`; of that state itself with no steps.
 
     Each moment is sign tr((A (x) B) rho) = sign u^T X v with u = vec(A^T),
     v = vec(B^T), row-major.  A and B have entries on one diagonal k1 = n1 -
     m1 and k2 = n2 - m2 only, so u and v live on block (k1, k2) of X alone,
     which E1 (x) E2 conserves: the observables go backward through the steps
     instead of the state forward, u <- F1^T u and v <- F2^T v on that block,
-    and the block is read as a view of d, with no copy.  Positions along a
-    block follow :func:`_diagonals`.
+    and the block is read as a slice of its half, with no copy.  Every
+    moment's block has k1 + k2 even.  Each side has four observables, a'a, 1,
+    a^2 and a on diagonals 0, 0, 2 and 1, and a's diagonal -1 shares block
+    1's propagator, so each is propagated once for the moments that read it.
+    Positions along a diagonal follow :func:`_diagonals`.
     """
-    x = d.reshape((cutoff,) * 4)  # x[n1, n2, m1, m2]
+    lo = _layout(cutoff)[0]
+    halves = _halves(buf, cutoff)
     s = np.sqrt(np.arange(1.0, cutoff))  # a[p, p + 1]
-    ones, num, aa = np.ones(cutoff), np.arange(cutoff, dtype=np.float64), s[:-1] * s[1:]
-    # (k1, diagonal k1 of A, k2, diagonal k2 of B, sign) per moment
-    ops = ((0, num, 0, ones, 1.0), (0, ones, 0, num, 1.0), (2, aa, 0, ones, -1.0),
-           (0, ones, 2, aa, -1.0), (1, s, -1, s, -1.0), (1, s, 1, s, 1.0))
+    ks = (0, 0, 2, 1)
+    us = [np.arange(cutoff, dtype=np.float64), np.ones(cutoff), s[:-1] * s[1:], s]
+    vs = list(us)
+    for f1, f2 in reversed(steps):
+        for i, k in enumerate(ks):
+            if us[i].size:  # cutoff 2 has no block 2, nor entry 2
+                us[i] = f1[k, : us[i].size, : us[i].size].T @ us[i]
+                vs[i] = f2[k, : vs[i].size, : vs[i].size].T @ vs[i]
+    # (observable of mode 1, its diagonal k1, of mode 2, k2, sign) per moment
+    ops = ((0, 0, 1, 0, 1.0), (1, 0, 0, 0, 1.0), (2, 2, 1, 0, -1.0),
+           (1, 0, 2, 2, -1.0), (3, 1, 3, -1, -1.0), (3, 1, 3, 1, 1.0))
     out = np.empty(len(ops))
-    for i, (k1, u, k2, v, sign) in enumerate(ops):
-        for f1, f2 in reversed(steps):
-            if u.size and v.size:  # cutoff 2 has no block 2, nor entry 2
-                u = f1[abs(k1), : u.size, : u.size].T @ u
-                v = f2[abs(k2), : v.size, : v.size].T @ v
-        block = np.diagonal(np.diagonal(x, -k1, 0, 2), -k2, 0, 1)
-        out[i] = sign * (u @ (block @ v))
+    for j, (i1, k1, i2, k2, sign) in enumerate(ops):
+        u, v, a, b = us[i1], vs[i2], lo[k1 + cutoff], lo[k2 + cutoff]
+        out[j] = sign * (u @ (halves[k1 % 2][a : a + u.size, b : b + v.size] @ v))
     return out
 
 
@@ -375,17 +423,72 @@ def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
 
 
 @functools.lru_cache(maxsize=1)
-def _block_index(cutoff: int) -> np.ndarray:
-    """Flat index into rho of each entry of y in block order: y[i, j] =
-    rho[(n1 n2), (m1 m2)] with (n1, m1) and (n2, m2) at block-order i and j.
-    The gather and scatter of :func:`integrate`: cutoff^4 entries, read-only,
-    kept for the last cutoff only (8 MB at MAX_CUTOFF), which serves a chain
-    of steps at one cutoff."""
+def _layout(cutoff: int):
+    """The block form of a state at ``cutoff``: (lo, spans, rows, index).
+
+    Along either mode, block order lists the pairs (n, m) by diagonal k = n -
+    m ascending, at positions as in :func:`_diagonals`.  Half q of X holds the
+    rows and columns on diagonals k = q (mod 2); the blocks with k1 + k2 odd
+    are exactly 0 and are not held.  lo[k + cutoff] is where diagonal k
+    starts along its half, for |k| <= cutoff (empty at |k| = cutoff, so that
+    block 2 exists at cutoff 2); spans[q] lists (|k|, lo, hi) of each
+    diagonal along half q; rows are the flat indices n1 * cutoff + n2 with
+    n1 + n2 even, then odd; and index is the position in the buffer
+    (:func:`_halves`) of each entry of rho's even, then odd, parity block,
+    row-major, a permutation of the buffer.  Kept for the last cutoff only
+    and read-only (the index 640 kB at cutoff 20, 4 MB at MAX_CUTOFF), which
+    serves a chain of steps at one cutoff."""
     n = cutoff
-    lv, lm = np.divmod(np.concatenate(_diagonals(n)), n)
-    flat = (lv * n**3 + lm * n)[:, None] + (lv * n**2 + lm)[None, :]
-    flat.flags.writeable = False
-    return flat
+    size = np.maximum(n - np.abs(np.arange(-n, n + 1)), 0)
+    lo = np.zeros_like(size)
+    for q in (0, 1):
+        lo[q::2] = np.cumsum(size[q::2]) - size[q::2]
+    spans = ([], [])
+    for k in range(1 - n, n):
+        spans[k % 2].append((abs(k), lo[k + n], lo[k + n] + size[k + n]))
+    p = np.arange(n)
+    k = p[:, None] - p
+    along = lo[k + n] + np.minimum(p[:, None], p)  # of the pair (n, m) in its half
+    rows = (np.flatnonzero((p[:, None] + p) % 2 == 0), np.flatnonzero((p[:, None] + p) % 2))
+    e, o = rows[0].size, rows[1].size
+    start = np.where(k % 2, e * e + along * o, along * e)  # of the row of mode 1's (n, m)
+    index = np.empty(e * e + o * o, dtype=np.intp)
+    for r, block in zip(rows, _halves(index, n)):
+        # an entry's mode-1 pair picks its half and row, mode 2's its column
+        n1, n2 = np.divmod(r, n)
+        np.take(start[n1], n1, axis=1, out=block)
+        block += along[n2][:, n2]
+    for a in (lo, *rows, index):
+        a.flags.writeable = False
+    return lo, tuple(map(tuple, spans)), rows, index
+
+
+def _halves(buf: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and the odd half of a state's buffer, as square views; of
+    the buffer's take through :func:`_layout`'s index, rho's parity blocks."""
+    e, o = (cutoff * cutoff + 1) // 2, cutoff * cutoff // 2
+    return buf[: e * e].reshape(e, e), buf[e * e :].reshape(o, o)
+
+
+def _buffer(cutoff: int, blocks) -> np.ndarray:
+    """The buffer of the state whose parity blocks of n1 + n2 are ``blocks``,
+    even then odd, through :func:`_layout`'s index."""
+    index = _layout(cutoff)[3]
+    buf = np.empty(index.size)
+    split = blocks[0].size
+    buf[index[:split]] = blocks[0].ravel()
+    buf[index[split:]] = blocks[1].ravel()
+    return buf
+
+
+def _scatter(cutoff: int, buf: np.ndarray) -> np.ndarray:
+    """The dense matrix rho[(n1 n2), (m1 m2)] of the state in block form
+    ``buf``, 0 between its parity blocks."""
+    _, _, rows, index = _layout(cutoff)
+    d = np.zeros((cutoff * cutoff,) * 2)
+    for r, b in zip(rows, _halves(buf[index], cutoff)):
+        d[np.ix_(r, r)] = b
+    return d
 
 
 def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
@@ -394,23 +497,26 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
 
     The generator is L1 (x) 1 + 1 (x) L2 with commuting single-mode terms,
     so exp(tL) = exp(tL1) (x) exp(tL2), which acts as E1 X E2^T on rho
-    regrouped as X[(n1 m1), (n2 m2)].  One gather, an index into the
-    flattened state, puts X in k1 / k2 block order (the index is kept from
-    the last call's cutoff), E1 and E2 apply as 2 cutoff - 1 block matmuls
-    per side on the gather's copy, in place, and one scatter returns the
-    result.  The propagators are kept from the last call's (ch, cutoff, t):
-    a chain whose steps repeat a length, as :func:`chain` over gamma t =
-    0.5, 1, 2 in ``oracle-check``, acceptance criterion 8 and the benchmark,
-    computes them once for both, with the bits of two fresh calls.  The step
-    is accepted only if the split E(t/2) E(t/2) gives every moment to within
-    1e-6 (StepTooLarge otherwise).
+    regrouped as X[(n1 m1), (n2 m2)].  E1 and E2 conserve the diagonals k1
+    and k2 of X, hence the halves of its block form (:func:`_layout`): the
+    2 cutoff - 1 block matmuls per side split between the halves, each on
+    its own diagonals, from the input's buffer into a new one, and the
+    result stays in block form; no step scatters it back to the dense
+    matrix.  The propagators are kept from the last call's (ch,
+    cutoff, t): a chain whose steps repeat a length, as :func:`chain` over
+    gamma t = 0.5, 1, 2 in ``oracle-check``, acceptance criterion 8 and the
+    benchmark, computes them once for both, with the bits of two fresh
+    calls.  The step is accepted only if the split E(t/2) E(t/2) gives every
+    moment to within 1e-6 (StepTooLarge otherwise).
     :func:`_moments` reads the split moments from the input, propagating the
-    six observables backward through the half steps instead of the state
+    backward observables through the half steps instead of the state
     forward, and the full-step ones from the output, the numbers that
     :func:`moments` reports.  E(t) and E(t/2) of both modes come from one
     :func:`_expm` call, and E(t/2) E(t/2) is E(t) bit for bit, so the gate
     checks the block arithmetic.  The input must be finite, which one sum
-    over its entries tests (OracleError otherwise).
+    over its buffer tests, and have no entries between the parity blocks of
+    n1 + n2, which the block form does not propagate (OracleError
+    otherwise).
     The returned state is validated: symmetry, unit trace, positivity (a
     Cholesky test) and the tail bound (CutoffInsufficient if the bath heats
     the state past the cutoff).  A zero step takes the same path; its blocks
@@ -421,21 +527,20 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
         raise ValueError(f"time must be >= 0, got {t}")
     # NaN and inf propagate through the sum; finite entries overflow it only
     # far beyond a density matrix's range
-    total = float(np.sum(rho0.data))
+    total = float(np.sum(rho0._buf))
     if not math.isfinite(total):
         raise OracleError(f"input state is not finite: its entries sum to {total}")
+    if rho0._cross:
+        raise OracleError("input state has nonzero entries between the parity blocks of n1 + n2")
     n = rho0.cutoff
     (e1, e2), (h1, h2) = _step_propagators(ch, n, t)
-    split = _moments(rho0.data, n, (h1, h2), (h1, h2))
-    flat = _block_index(n)
-    y = rho0.data.ravel()[flat]
-    _apply(e1, e2, y)
-    data = np.empty(n**4)
-    data[flat] = y
-    del y  # before validate's copies
-    out = FockDensityMatrix(cutoff=n, data=data.reshape(n * n, n * n))
+    split = _moments(rho0._buf, n, (h1, h2), (h1, h2))
+    buf = np.empty_like(rho0._buf)
+    for y, out, spans in zip(_halves(rho0._buf, n), _halves(buf, n), _layout(n)[1]):
+        _apply(e1, e2, y, out, spans)
+    out = FockDensityMatrix._from_buffer(n, buf)
 
-    diff = float(np.max(np.abs(_moments(out.data, n) - split)))
+    diff = float(np.max(np.abs(_moments(buf, n) - split)))
     if not diff < 1e-6:
         raise StepTooLarge(
             f"propagating in two halves changes final moments by {diff:.3e} (>= 1e-6)"
@@ -450,7 +555,7 @@ def moments(rho: FockDensityMatrix) -> CovarianceMatrix:
     its one block of rho by :func:`_moments`.
     """
     # CovarianceMatrix clamps occupations that rounding pushed below zero
-    return CovarianceMatrix(*_moments(rho.data, rho.cutoff).tolist())
+    return CovarianceMatrix(*_moments(rho._buf, rho.cutoff).tolist())
 
 
 def chain(p: GaussianParams, ch: ChannelParams, times, cutoff: int,
