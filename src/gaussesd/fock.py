@@ -21,10 +21,11 @@ mode's pairs (n, m) in order of the diagonal k = n - m, split into the half
 with k1 and k2 both even and the half with both odd, as views into one flat
 buffer; the blocks with k1 + k2 odd are exactly 0 and are not held.  Each
 half is cutoff^2 / 2 square, half the width of the dense matrix.  The
-initial state applies the single-mode squeezers one index at a time, with
-no Kronecker product, and is gathered into the halves once; a step
-propagates each half from one buffer into a new one, and no step goes back
-to the dense matrix, which is scattered only when a caller reads it.  Each
+initial state is formed in the regrouped order, the single-mode squeezers
+applied one index at a time with no Kronecker product, and its halves are
+taken once; a step propagates each half from one buffer into a new one,
+and nothing goes through the dense matrix, which is scattered only when a
+caller reads it.  Each
 moment is read from the one (k1, k2) block that its observable reaches, a
 slice of its half with no copy, and the trace and the tail from block
 (0, 0), rho's diagonal.  The checks gather rho's two parity blocks of
@@ -32,9 +33,9 @@ n1 + n2 from the buffer once, through an index that depends on the cutoff
 alone and is kept, read-only, for the last cutoff.  A step's propagators E
 and H depend on (channel, cutoff, t) alone and are kept, read-only, for the
 last step: 256 kB at cutoff 20, 1 MB at MAX_CUTOFF.  A chain that repeats a
-step length, as gamma t = 0.5, 1, 2 does, skips that step's exponential.
-Both caches hold exactly what a fresh call returns, so no result depends on
-the call history.
+step length, as gamma t = 0.5, 1, 2 does, skips that step's exponential,
+and squares it for a step twice as long.  The caches hold exactly what a
+fresh call returns, so no result depends on the call history.
 
 Every step's input must be finite and hold no entries between the parity
 blocks, and every propagated state, a zero step's too, is checked.  The
@@ -137,12 +138,15 @@ class FockDensityMatrix:
             data = data.real
         data = np.array(data, dtype=np.float64)
         data.flags.writeable = False
-        even, odd = _layout(cutoff)[2]
+        _, _, (even, odd), index, _ = _layout(cutoff)
         rows_even, rows_odd = data.take(even, 0), data.take(odd, 0)
         self.cutoff = cutoff
         self._data = data
         self._cross = bool(np.any(rows_even.take(odd, 1)) or np.any(rows_odd.take(even, 1)))
-        self._buf = _buffer(cutoff, [rows_even.take(even, 1), rows_odd.take(odd, 1)])
+        # the parity blocks, even then odd, row-major, each entry to its place
+        self._buf = np.empty(index.size)
+        self._buf[index] = np.concatenate([rows_even.take(even, 1), rows_odd.take(odd, 1)],
+                                          axis=None)
 
     @classmethod
     def _from_buffer(cls, cutoff: int, buf: np.ndarray) -> FockDensityMatrix:
@@ -226,12 +230,6 @@ def _ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
-def _diagonals(cutoff: int) -> tuple[np.ndarray, ...]:
-    """Indices n * cutoff + m of each diagonal k = n - m, k = 1 - cutoff up."""
-    index = np.arange(cutoff * cutoff).reshape(cutoff, cutoff)
-    return tuple(np.diagonal(index, -k) for k in range(1 - cutoff, cutoff))
-
-
 def _tridiagonal(cutoff: int, diag, up: float, down: float) -> np.ndarray:
     """Zero-padded blocks j >= 0 of a generator conserving j = n - m, position p
     at (p + j, p): diag(n, m) on it, up * s above, down * s below, s = sqrt((n+1)(m+1))."""
@@ -256,6 +254,12 @@ _PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0
 _THETA13 = 5.371920351148152
 
 
+def _exponents(stack: np.ndarray) -> np.ndarray:
+    """The scaling exponent s of each matrix of a (k, n, n) stack, the least
+    with 1-norm / 2^s < theta_13 (at most 0 for a norm below theta_13)."""
+    return np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)[1]
+
+
 def _expm(stack: np.ndarray, half: bool = False):
     """exp of each matrix of a (k, n, n) stack by degree-13 Pade with scaling
     and squaring (Higham 2005): each matrix is scaled by 2^-s to 1-norm at
@@ -267,8 +271,7 @@ def _expm(stack: np.ndarray, half: bool = False):
     squaring: A / 2 has half the norm, hence s - 1, and 2^-(s-1) A / 2 is bit
     for bit the Pade input 2^-s A, so that is what a call on A / 2 returns,
     and its square is exp(A) bit for bit."""
-    _, s = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(s, 1 if half else 0)  # norm / 2^s < theta_13
+    s = np.maximum(_exponents(stack), 1 if half else 0)
     a = np.ldexp(stack, -s[:, None, None])
     b = _PADE13
     eye = np.eye(stack.shape[-1])
@@ -305,31 +308,47 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     so the truncated squeezers are exactly orthogonal and the construction
     preserves trace and positivity.  The two-mode squeezer conserves n1 - n2
     and is exponentiated by those blocks, and so is M = S2 sigma S2' formed,
-    one block product per n1 - n2.  S1 = u1 (x) u2 then applies to
-    M[n1, n2, m1, m2] one factor per index, as four cutoff x cutoff by
-    cutoff x cutoff^3 products, with no Kronecker product.  The state's
-    parity blocks of n1 + n2 are taken from the result, symmetrized and
-    gathered into its block form; the entries between them are exactly 0,
-    since every factor keeps the parity.  Raises ValueError
-    unless 2 <= cutoff <= MAX_CUTOFF, and CutoffInsufficient when the tail
-    population exceeds ``tail_tol``.
+    by one batched product, and placed into a grid in the regrouped order
+    X[(n1 m1), (n2 m2)] (:func:`_grid_index`).  S1 = u1 (x) u2 then applies
+    one factor per index, as four cutoff x cutoff by cutoff x cutoff^3
+    products, and each half of the block form is taken from the grid on its
+    pairs and symmetrized by the pair swap (n, m) -> (m, n); the entries
+    between the halves are exactly 0, since every factor keeps the parity.
+    The largest temporary is one work array of two cutoff^4 float64 halves,
+    the grid and a spare between which the products alternate and in which
+    the takes keep theirs (traced peak 2.67 cutoff^4 float64 at cutoff 20).
+    Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
+    CutoffInsufficient when the tail population exceeds ``tail_tol``.
     """
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
-    a = _ladder(cutoff)
+    n = cutoff
+    a = _ladder(n)
     ada = a.T @ a.T - a @ a
-    u1, u2, *s2 = _expm(np.concatenate([[0.5 * p.z1 * ada, 0.5 * p.z2 * ada],
-                                        _tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r)]))
-    w = np.kron(_thermal_weights(p.nu1, cutoff), _thermal_weights(p.nu2, cutoff))
-    m = np.zeros((cutoff * cutoff,) * 2)
-    for sel in _diagonals(cutoff):  # block -k of S2 is block k
-        b = s2[cutoff - len(sel)][: len(sel), : len(sel)]
-        m[np.ix_(sel, sel)] = (b * w[sel]) @ b.T
-    for u in (u1, u2, u1, u2):  # u on the leading index, which then moves last
-        m = m.reshape(cutoff, -1).T @ u.T
-    m = m.reshape(cutoff * cutoff, cutoff * cutoff)
-    blocks = [m[np.ix_(r, r)] for r in _layout(cutoff)[2]]
-    buf = _buffer(cutoff, [0.5 * (b + b.T) for b in blocks])
+    e = _expm(np.concatenate([[0.5 * p.z1 * ada, 0.5 * p.z2 * ada],
+                              _tridiagonal(n, lambda n, m: 0.0, -p.r, p.r)]))
+    l1, l2, inside, at = _grid_index(n)
+    b = e[2 + np.abs(np.arange(1 - n, n))]  # block -k of S2 is block k
+    w = _thermal_weights(p.nu1, n)[l1] * _thermal_weights(p.nu2, n)[l2]
+    grid, spare = np.empty((2, n**4))  # the products alternate between the two
+    grid.fill(0.0)
+    grid[at] = ((b * w[:, None, :]) @ b.transpose(0, 2, 1))[inside]
+    x, y = grid.reshape(n, -1), spare.reshape(n, -1)
+    for u in (e[0], e[0], e[1], e[1]):  # u on the leading index, which then moves last
+        np.matmul(x.T, u.T, out=y.reshape(-1, n))
+        x, y = y, x
+    x = grid.reshape(n * n, n * n)  # after an even number of products
+    buf = np.empty((n**4 + 1) // 2)
+    for half, (pairs, swaps) in zip(_halves(buf, n), _layout(n)[4]):
+        # the half's rows of the grid, then its columns, and the half by the
+        # pair swap (n, m) -> (m, n), rho's transpose; every temporary in the
+        # spare, every take unbuffered ("clip")
+        m = len(pairs)
+        rows = np.take(x, pairs, 0, out=spare[: m * n * n].reshape(m, -1), mode="clip")
+        np.take(rows, pairs, 1, out=half, mode="clip")
+        swapped = np.take(half, swaps, 0, out=spare[: m * m].reshape(m, m), mode="clip")
+        half += np.take(swapped, swaps, 1, out=spare[m * m : 2 * m * m].reshape(m, m), mode="clip")
+    buf *= 0.5
     state = FockDensityMatrix._from_buffer(cutoff, buf)
     tail = state.tail_population()
     if not tail <= tail_tol:
@@ -381,7 +400,7 @@ def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]
     moment's block has k1 + k2 even.  Each side has four observables, a'a, 1,
     a^2 and a on diagonals 0, 0, 2 and 1, and a's diagonal -1 shares block
     1's propagator, so each is propagated once for the moments that read it.
-    Positions along a diagonal follow :func:`_diagonals`.
+    The pair (n, m) sits at position min(n, m) along its diagonal.
     """
     lo = _layout(cutoff)[0]
     halves = _halves(buf, cutoff)
@@ -404,30 +423,49 @@ def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]
     return out
 
 
-@functools.lru_cache(maxsize=1)
+# the last step's propagators: (ch, cutoff, t) -> (E, H), one entry at most
+_steps: dict = {}
+
+
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
-    """((E1(t), E2(t)), (E1(t/2), E2(t/2))) from one :func:`_expm` call on
-    both modes' blocks of t L (:func:`_mode_blocks`).  Each E is a (cutoff,
-    cutoff, cutoff) block stack: entry k holds exp(t L_k), k = n - m >= 0, in
-    its leading cutoff - k rows and columns; block -k is read from entry k.
+    """((E1(t), E2(t)), (E1(t/2), E2(t/2))) from :func:`_expm` on both modes'
+    blocks of t L (:func:`_mode_blocks`).  Each E is a (cutoff, cutoff,
+    cutoff) block stack: entry k holds exp(t L_k), k = n - m >= 0, in its
+    leading cutoff - k rows and columns; block -k is read from entry k.
 
     The stacks are read-only and kept for the last (ch, cutoff, t) only
-    (256 kB at cutoff 20, 1 MB at MAX_CUTOFF).  They depend on the arguments
-    alone, so a repeated step, as the oracle's chains gamma t = 0.5, 1, 2 take
-    (Delta t, Delta t, 2 Delta t), gets the bits that a fresh call gives."""
-    gen = np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
-                          _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
-    e, h = _expm(t * gen, half=True)
-    e.flags.writeable = h.flags.writeable = False
+    (256 kB at cutoff 20, 1 MB at MAX_CUTOFF).  A step twice the kept one,
+    as the chains gamma t = 0.5, 1, 2 take (Delta t, Delta t, 2 Delta t),
+    squares it: 2 t L is t L doubled exactly (barring overflow and
+    subnormals), so a block that :func:`_expm` scales by s >= 2 at 2 t has
+    the Pade input it had at t, and E(2 t) is the kept E(t) squared; the
+    others are exponentiated anew.  Every result has a fresh call's bits."""
+    key = (ch, cutoff, t)
+    if key not in _steps:
+        a = t * np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
+                                _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
+        kept = [e for (ch0, c0, t0), (e, _) in _steps.items() if (ch0, c0, 2 * t0) == key]
+        if kept:
+            e, h = kept[0] @ kept[0], kept[0].copy()
+            fresh = _exponents(a) < 2
+            if fresh.any():
+                e[fresh], h[fresh] = _expm(a[fresh], half=True)
+        else:
+            e, h = _expm(a, half=True)
+        e.flags.writeable = h.flags.writeable = False
+        _steps.clear()
+        _steps[key] = e, h
+    e, h = _steps[key]
     return (e[:cutoff], e[cutoff:]), (h[:cutoff], h[cutoff:])
 
 
 @functools.lru_cache(maxsize=1)
 def _layout(cutoff: int):
-    """The block form of a state at ``cutoff``: (lo, spans, rows, index).
+    """The block form of a state at ``cutoff``: (lo, spans, rows, index,
+    pairs).
 
     Along either mode, block order lists the pairs (n, m) by diagonal k = n -
-    m ascending, at positions as in :func:`_diagonals`.  Half q of X holds the
+    m ascending, at position min(n, m) along it.  Half q of X holds the
     rows and columns on diagonals k = q (mod 2); the blocks with k1 + k2 odd
     are exactly 0 and are not held.  lo[k + cutoff] is where diagonal k
     starts along its half, for |k| <= cutoff (empty at |k| = cutoff, so that
@@ -435,9 +473,11 @@ def _layout(cutoff: int):
     diagonal along half q; rows are the flat indices n1 * cutoff + n2 with
     n1 + n2 even, then odd; and index is the position in the buffer
     (:func:`_halves`) of each entry of rho's even, then odd, parity block,
-    row-major, a permutation of the buffer.  Kept for the last cutoff only
-    and read-only (the index 640 kB at cutoff 20, 4 MB at MAX_CUTOFF), which
-    serves a chain of steps at one cutoff."""
+    row-major, a permutation of the buffer; pairs[q] lists, for each
+    position along half q, its pair n * cutoff + m and the position of the
+    pair (m, n).  Kept for the last cutoff only and read-only (the index
+    640 kB at cutoff 20, 4 MB at MAX_CUTOFF), which serves a chain of steps
+    at one cutoff."""
     n = cutoff
     size = np.maximum(n - np.abs(np.arange(-n, n + 1)), 0)
     lo = np.zeros_like(size)
@@ -451,16 +491,41 @@ def _layout(cutoff: int):
     along = lo[k + n] + np.minimum(p[:, None], p)  # of the pair (n, m) in its half
     rows = (np.flatnonzero((p[:, None] + p) % 2 == 0), np.flatnonzero((p[:, None] + p) % 2))
     e, o = rows[0].size, rows[1].size
+    pairs = np.empty(n * n, dtype=np.intp)
+    pairs[np.where(k % 2, e + along, along).ravel()] = np.arange(n * n)
+    swaps = along.T.ravel()[pairs]  # where the pair (m, n) sits, for each (n, m)
+    pairs = ((pairs[:e], swaps[:e]), (pairs[e:], swaps[e:]))
     start = np.where(k % 2, e * e + along * o, along * e)  # of the row of mode 1's (n, m)
     index = np.empty(e * e + o * o, dtype=np.intp)
     for r, block in zip(rows, _halves(index, n)):
         # an entry's mode-1 pair picks its half and row, mode 2's its column
         n1, n2 = np.divmod(r, n)
-        np.take(start[n1], n1, axis=1, out=block)
+        np.take(start[n1], n1, axis=1, out=block, mode="clip")  # unbuffered
         block += along[n2][:, n2]
-    for a in (lo, *rows, index):
+    for a in (lo, *rows, index, *pairs[0], *pairs[1]):
         a.flags.writeable = False
-    return lo, tuple(map(tuple, spans)), rows, index
+    return lo, tuple(map(tuple, spans)), rows, index, pairs
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_index(cutoff: int):
+    """Where :func:`build_initial_state` puts M = S2 sigma S2', kept for the
+    last cutoff only and read-only: block k of M lies on the diagonal n1 - n2
+    = m1 - m2 = k, at mode 1's levels l1[k + cutoff - 1, p] and mode 2's
+    l2[k + cutoff - 1, p] along it (clipped past its end); at is the grid
+    position of each entry of the blocks that inside marks, in their order."""
+    n = cutoff
+    k = np.arange(1 - n, n)[:, None]
+    p = np.arange(n)
+    l1 = np.minimum(p + np.maximum(k, 0), n - 1)
+    l2 = np.minimum(p + np.maximum(-k, 0), n - 1)
+    inside = p < n - np.abs(k)
+    inside = inside[:, :, None] & inside[:, None, :]
+    at = ((l1[:, :, None] * n + l1[:, None, :]) * n + l2[:, :, None]) * n + l2[:, None, :]
+    at = at[inside]
+    for a in (l1, l2, inside, at):
+        a.flags.writeable = False
+    return l1, l2, inside, at
 
 
 def _halves(buf: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -470,21 +535,10 @@ def _halves(buf: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return buf[: e * e].reshape(e, e), buf[e * e :].reshape(o, o)
 
 
-def _buffer(cutoff: int, blocks) -> np.ndarray:
-    """The buffer of the state whose parity blocks of n1 + n2 are ``blocks``,
-    even then odd, through :func:`_layout`'s index."""
-    index = _layout(cutoff)[3]
-    buf = np.empty(index.size)
-    split = blocks[0].size
-    buf[index[:split]] = blocks[0].ravel()
-    buf[index[split:]] = blocks[1].ravel()
-    return buf
-
-
 def _scatter(cutoff: int, buf: np.ndarray) -> np.ndarray:
     """The dense matrix rho[(n1 n2), (m1 m2)] of the state in block form
     ``buf``, 0 between its parity blocks."""
-    _, _, rows, index = _layout(cutoff)
+    _, _, rows, index, _ = _layout(cutoff)
     d = np.zeros((cutoff * cutoff,) * 2)
     for r, b in zip(rows, _halves(buf[index], cutoff)):
         d[np.ix_(r, r)] = b
@@ -505,7 +559,8 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     matrix.  The propagators are kept from the last call's (ch,
     cutoff, t): a chain whose steps repeat a length, as :func:`chain` over
     gamma t = 0.5, 1, 2 in ``oracle-check``, acceptance criterion 8 and the
-    benchmark, computes them once for both, with the bits of two fresh
+    benchmark, computes them once for both, and squares them for its third
+    step, twice as long (:func:`_step_propagators`), with the bits of fresh
     calls.  The step is accepted only if the split E(t/2) E(t/2) gives every
     moment to within 1e-6 (StepTooLarge otherwise).
     :func:`_moments` reads the split moments from the input, propagating the

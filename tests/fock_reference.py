@@ -69,8 +69,10 @@ def kron_initial_state(p: GaussianParams, cutoff: int) -> np.ndarray:
     u1, u2 = fock._expm(np.stack([0.5 * p.z1 * ada, 0.5 * p.z2 * ada]))
     u = np.kron(u1, u2)
     s2 = fock._expm(fock._tridiagonal(cutoff, lambda n, m: 0.0, -p.r, p.r))
-    for sel in fock._diagonals(cutoff):  # block -k is block k
-        u[:, sel] = u[:, sel] @ s2[cutoff - len(sel), : len(sel), : len(sel)]
+    index = np.arange(cutoff * cutoff).reshape(cutoff, cutoff)
+    for k in range(1 - cutoff, cutoff):  # the (n1, n2) with n1 - n2 = k; block -k is block k
+        sel = np.diagonal(index, -k)
+        u[:, sel] = u[:, sel] @ s2[abs(k), : len(sel), : len(sel)]
     w = np.kron(fock._thermal_weights(p.nu1, cutoff), fock._thermal_weights(p.nu2, cutoff))
     rho = (u * w) @ u.T
     return 0.5 * (rho + rho.T)

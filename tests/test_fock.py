@@ -20,6 +20,7 @@ from gaussesd import (
     evolve,
     fock,
 )
+from gaussesd.config import MAX_CUTOFF
 from gaussesd.fock import (
     FockDensityMatrix,
     build_initial_state,
@@ -37,6 +38,14 @@ def basis_state(n1, n2, cutoff):
     idx = n1 * cutoff + n2
     rho[idx, idx] = 1.0
     return FockDensityMatrix(cutoff=cutoff, data=rho)
+
+
+def floored(ch, cutoff, t):
+    """Which of both modes' blocks of t L have a 1-norm under theta_13, the
+    blocks whose scaling exponent _expm raises to 1."""
+    gen = np.concatenate([fock._mode_blocks(ch.gamma1, ch.nb1, cutoff),
+                          fock._mode_blocks(ch.gamma2, ch.nb2, cutoff)])
+    return np.abs(t * gen).sum(axis=-2).max(axis=-1) < fock._THETA13
 
 
 def random_state(rng, cutoff):
@@ -399,25 +408,74 @@ class TestIntegrate:
         assert rho.data is rho.data and calls == [1]
 
     def test_step_propagator_cache_holds_one_step(self, monkeypatch):
-        # times a, 2a, 4a take steps a, a, 2a (2a - a is a exactly): the
-        # second step is a hit, the first and third are misses
+        # times a, 2a, 4a take steps a, a, 2a (2a - a is a exactly): the build
+        # exponentiates cutoff + 2 blocks and the first step both modes'
+        # 2 cutoff; the second, a hit, none; the third, twice the kept step,
+        # only the blocks whose s _expm raised to 1 at a
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
-        a = 0.7
-        cache = fock._step_propagators
-        cache.cache_clear()
-        fock.chain(p, ch, [a, 2 * a, 4 * a], 8, tail_tol=1.0)
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize, info.hits, info.misses) == (1, 1, 1, 2)
-        for stack in (s for pair in cache(ch, 8, 2 * a) for s in pair):
+        a, cutoff = 0.7, 8
+        expm, counts = fock._expm, []
+        monkeypatch.setattr(fock, "_expm",
+                            lambda stack, half=False: counts.append(len(stack)) or expm(stack, half))
+        under = int(np.sum(floored(ch, cutoff, a)))
+        assert 0 < under < 2 * cutoff
+        fock._steps.clear()
+        fock.chain(p, ch, [a, 2 * a, 4 * a], cutoff, tail_tol=1.0)
+        assert counts == [cutoff + 2, 2 * cutoff, under]
+        assert list(fock._steps) == [(ch, cutoff, 2 * a)]
+        for stack in (s for pair in fock._step_propagators(ch, cutoff, 2 * a) for s in pair):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 0
-        rho = build_initial_state(p, 8, tail_tol=1.0)
+        rho = build_initial_state(p, cutoff, tail_tol=1.0)
+        counts.clear()
         hit = integrate(rho, ch, 2 * a, tail_tol=1.0)
-        assert cache.cache_info().hits == 3
-        monkeypatch.setattr(fock, "_step_propagators", cache.__wrapped__)
+        assert counts == []
+        fock._steps.clear()
         fresh = integrate(rho, ch, 2 * a, tail_tol=1.0)
+        assert counts == [2 * cutoff]
         assert hit.data.tobytes() == fresh.data.tobytes()
+
+    def test_doubled_step_is_a_fresh_call_bit_for_bit(self):
+        # a (ch, cutoff, 2 dt) call taken from the kept (ch, cutoff, dt)
+        # gives both modes' E(2 dt) and E(dt) stacks with a fresh call's
+        # bytes; the draws reach steps with every block under the Pade floor
+        # at dt, with none, and with some
+        rng = np.random.default_rng(2205)
+        shares = []
+        for _ in range(100):
+            cutoff = int(rng.integers(2, MAX_CUTOFF + 1))
+            g1, g2 = rng.uniform(0.05, 1.0, 2)
+            nb1, nb2 = rng.uniform(0.0, 2.0, 2)
+            ch = ChannelParams(float(g1), float(g2), float(nb1), float(nb2))
+            dt = float(10.0 ** rng.uniform(-3.0, 1.5))
+            shares.append(np.mean(floored(ch, cutoff, dt)))
+            fock._steps.clear()
+            fock._step_propagators(ch, cutoff, dt)
+            doubled = fock._step_propagators(ch, cutoff, 2 * dt)
+            fock._steps.clear()
+            fresh = fock._step_propagators(ch, cutoff, 2 * dt)
+            for mine, ref in zip(doubled, fresh):  # (E1, E2) at 2 dt, then at dt
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, ref))
+        assert min(shares) == 0 and max(shares) == 1
+        assert any(0 < f < 1 for f in shares)
+
+    @pytest.mark.parametrize("cutoff, a", [(8, 0.7), (12, 0.05), (20, 1.3)])
+    def test_chain_does_not_depend_on_the_kept_step(self, cutoff, a):
+        # times a, 2a, 4a, whose last step squares the kept one, against the
+        # same steps with the propagator cache emptied before each: the same
+        # bytes; at a some blocks sit under the Pade floor (all at cutoff 12)
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
+        fock._steps.clear()
+        kept = fock.chain(p, ch, [a, 2 * a, 4 * a], cutoff, tail_tol=1.0)
+        rho = build_initial_state(p, cutoff, tail_tol=1.0)
+        t_prev = 0.0
+        for t, cm, tail in kept:
+            fock._steps.clear()
+            rho = integrate(rho, ch, t - t_prev, tail_tol=1.0)
+            t_prev = t
+            assert repr((cm, tail)) == repr((moments(rho), rho.tail_population()))
 
     def test_split_invariance(self):
         p = GaussianParams(0.2, -0.1, 0.3, 0.1, 0.2)
@@ -717,11 +775,22 @@ class TestAllocation:
         rho, ch = self.state(), ChannelParams(0.25, 0.2, 0.25, 0.1)
 
         def step():
-            fock._step_propagators.cache_clear()
+            fock._steps.clear()
             integrate(rho, ch, 4.0)
 
         peak = traced_peak(step)
         assert peak <= 2 * self.CUTOFF**4 * 8, f"{peak / 1e6:.2f} MB"
+
+    def test_build_peak(self):
+        # one work array of two cutoff^4 halves, the grid and the spare
+        # between which the four squeezer products alternate and in which
+        # the gather keeps its temporaries, and the buffer, half a cutoff^4
+        # array: measured 2.67 and 2.60 cutoff^4 float64 at cutoffs 20 and 32,
+        # bounded at 2.75 cutoff^4
+        for cutoff in (20, 32):
+            peak = traced_peak(
+                lambda: build_initial_state(GaussianParams.symmetric(0.2, 0.4), cutoff))
+            assert peak <= 2.75 * cutoff**4 * 8, f"cutoff {cutoff}: {peak / 8 / cutoff**4:.2f} c^4"
 
     def test_moments_peak(self):
         # vectors of at most cutoff entries and views of rho; no copy of a
