@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple, fields, replace
 
 from . import fock
-from .channel import ChannelParams, evolve, sample_trajectory, simon_grid
+from .channel import ChannelParams, _evolve_grid, evolve, sample_trajectory
 from .config import (OutputSpec, RunConfig, dump_config, finite_float, format_value,
                      parse_config_file)
 from .errors import ConfigError, GaussEsdError, OracleError
@@ -101,21 +101,23 @@ def cmd_sweep(args) -> int:
     values = sweep.values()
     times = [cfg.time.t_max * i / (cfg.time.n_points - 1) for i in range(cfg.time.n_points)]
 
+    # (z1, z2, r, nu1, nu2) rows for _evolve_grid; SweepSpec has checked the swept values
+    p = cfg.state
     if sweep.variable == "nu":
         header = ["nu1", "nu2", "S0", "sign"]
-        states = [replace(cfg.state, nu1=nu1, nu2=nu2) for nu1 in values for nu2 in values]
+        params = [(p.z1, p.z2, p.r, nu1, nu2) for nu1 in values for nu2 in values]
         keys, times = [[v for v in values for _ in values], values * len(values)], [0.0]
     elif sweep.variable == "t":
         header = ["t", "S", "sign"]
-        states, keys, times = [cfg.state], [values], values
+        params, keys, times = [(p.z1, p.z2, p.r, p.nu1, p.nu2)], [values], values
     else:
         header = [sweep.variable, "t", "S", "sign"]
         if sweep.variable == "z0":
-            states = [replace(cfg.state, z1=v, z2=v) for v in values]
+            params = [(v, v, p.r, p.nu1, p.nu2) for v in values]
         else:
-            states = [replace(cfg.state, r=v) for v in values]
+            params = [(p.z1, p.z2, v, p.nu1, p.nu2) for v in values]
         keys = [[v for v in values for _ in times], times * len(values)]
-    s = simon_grid(states, cfg.channel, times).ravel()
+    s = _evolve_grid(params, cfg.channel, times)[1].ravel()
     rows = list(zip(*keys, s.tolist(), simon_sign(s).tolist()))
 
     _write_text(cfg.output.path, _render_table(header, rows, cfg.output.format))

@@ -34,22 +34,22 @@ alone and is kept, read-only, for the last cutoff.  A step's propagators E
 and H depend on (channel, cutoff, t) alone and are kept, read-only, for the
 last step: 256 kB at cutoff 20, 1 MB at MAX_CUTOFF.  A chain that repeats a
 step length, as gamma t = 0.5, 1, 2 does, skips that step's exponential,
-and squares it for a step twice as long.  The caches hold exactly what a
-fresh call returns, so no result depends on the call history.
+and a step twice as long takes it as its half step.  The caches hold what
+a fresh call returns, so no result depends on the call history.
 
 Every step's input must be finite and hold no entries between the parity
 blocks, and every propagated state, a zero step's too, is checked.  The
 same step taken as two half steps must give the same moments; those are
 read in the Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho), by
 propagating the moment observables backward instead of the state, by the
-same read-out as the full step's moments.  One
-exponential gives both steps: E(t) is squared at least once and E(t/2) is its
-value before the last squaring, so E(t/2)^2 equals E(t) bit for bit and the
-gate checks the block arithmetic (block matmuls on the halves,
-backward-propagated observables).  The tests tie the Pade step to scipy's
-expm and, by the short-time derivative, to the dense master equation.  The
-state must be symmetric with unit trace and positive, which a Cholesky
-factorisation tests; eigenvalues are computed only to report a failure.
+same read-out as the full step's moments.  One exponential gives both
+steps: E(t/2) is that of t L / 2 and E(t) is its square, so E(t/2)^2 equals
+E(t) bit for bit and the gate checks the block arithmetic (block matmuls on
+the halves, backward-propagated observables).  The tests tie the Pade step
+to scipy's expm and, by the short-time derivative, to the dense master
+equation.  The state must be symmetric with unit trace and positive, which
+a Cholesky factorisation tests; eigenvalues are computed only to report a
+failure.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -260,18 +260,12 @@ def _exponents(stack: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)[1]
 
 
-def _expm(stack: np.ndarray, half: bool = False):
+def _expm(stack: np.ndarray) -> np.ndarray:
     """exp of each matrix of a (k, n, n) stack by degree-13 Pade with scaling
     and squaring (Higham 2005): each matrix is scaled by 2^-s to 1-norm at
     most theta_13, the whole stack goes through one Pade step of matmuls and
-    one solve, and each result is squared s times.
-
-    With ``half``, every matrix is squared at least once and (exp(A),
-    exp(A / 2)) is returned, exp(A / 2) being the value before the last
-    squaring: A / 2 has half the norm, hence s - 1, and 2^-(s-1) A / 2 is bit
-    for bit the Pade input 2^-s A, so that is what a call on A / 2 returns,
-    and its square is exp(A) bit for bit."""
-    s = np.maximum(_exponents(stack), 1 if half else 0)
+    one solve, and each result is squared s times."""
+    s = np.maximum(_exponents(stack), 0)
     a = np.ldexp(stack, -s[:, None, None])
     b = _PADE13
     eye = np.eye(stack.shape[-1])
@@ -282,14 +276,10 @@ def _expm(stack: np.ndarray, half: bool = False):
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     e = np.linalg.solve(v - u, v + u)
-    h = np.empty_like(e) if half else None
     for i in range(s.max()):
-        if half:
-            last = s == i + 1
-            h[last] = e[last]
         sq = s > i
         e[sq] = e[sq] @ e[sq]
-    return (e, h) if half else e
+    return e
 
 
 def _thermal_weights(nu: float, cutoff: int) -> np.ndarray:
@@ -428,30 +418,34 @@ _steps: dict = {}
 
 
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
-    """((E1(t), E2(t)), (E1(t/2), E2(t/2))) from :func:`_expm` on both modes'
-    blocks of t L (:func:`_mode_blocks`).  Each E is a (cutoff, cutoff,
-    cutoff) block stack: entry k holds exp(t L_k), k = n - m >= 0, in its
-    leading cutoff - k rows and columns; block -k is read from entry k.
+    """((E1(t), E2(t)), (E1(t/2), E2(t/2))) for both modes' blocks of t L
+    (:func:`_mode_blocks`).  Each E is a (cutoff, cutoff, cutoff) block
+    stack: entry k holds exp(t L_k), k = n - m >= 0, in its leading cutoff -
+    k rows and columns; block -k is read from entry k.
 
-    The stacks are read-only and kept for the last (ch, cutoff, t) only
-    (256 kB at cutoff 20, 1 MB at MAX_CUTOFF).  A step twice the kept one,
-    as the chains gamma t = 0.5, 1, 2 take (Delta t, Delta t, 2 Delta t),
-    squares it: 2 t L is t L doubled exactly (barring overflow and
-    subnormals), so a block that :func:`_expm` scales by s >= 2 at 2 t has
-    the Pade input it had at t, and E(2 t) is the kept E(t) squared; the
-    others are exponentiated anew.  Every result has a fresh call's bits."""
+    E(t/2) is :func:`_expm` of a = t L / 2 and E(t) is its square, one
+    batched product.  The stacks are read-only and kept for the last (ch,
+    cutoff, t) only (256 kB at cutoff 20, 1 MB at MAX_CUTOFF).  A step twice
+    the kept one, as the chains gamma t = 0.5, 1, 2 take (Delta t, Delta t,
+    2 Delta t), finds it by key and takes its E as E(t/2) on the blocks that
+    _expm scales by 2^-s with s >= 1: a / 2, whose exponential the kept E
+    squares, has exponent s - 1 and the same Pade input 2^-s a (barring
+    overflow and subnormals), so exp(a) is exp(a / 2)^2 bit for bit (Higham
+    2005).  The other blocks are exponentiated anew.  Every result has a
+    fresh call's bits."""
     key = (ch, cutoff, t)
     if key not in _steps:
-        a = t * np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
-                                _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
-        kept = [e for (ch0, c0, t0), (e, _) in _steps.items() if (ch0, c0, 2 * t0) == key]
-        if kept:
-            e, h = kept[0] @ kept[0], kept[0].copy()
-            fresh = _exponents(a) < 2
-            if fresh.any():
-                e[fresh], h[fresh] = _expm(a[fresh], half=True)
+        a = 0.5 * t * np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
+                                      _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
+        kept = _steps.get((ch, cutoff, 0.5 * t))
+        if kept is None:
+            h = _expm(a)
         else:
-            e, h = _expm(a, half=True)
+            h = kept[0].copy()
+            fresh = _exponents(a) < 1
+            if fresh.any():
+                h[fresh] = _expm(a[fresh])
+        e = h @ h
         e.flags.writeable = h.flags.writeable = False
         _steps.clear()
         _steps[key] = e, h
@@ -559,19 +553,18 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     matrix.  The propagators are kept from the last call's (ch,
     cutoff, t): a chain whose steps repeat a length, as :func:`chain` over
     gamma t = 0.5, 1, 2 in ``oracle-check``, acceptance criterion 8 and the
-    benchmark, computes them once for both, and squares them for its third
-    step, twice as long (:func:`_step_propagators`), with the bits of fresh
-    calls.  The step is accepted only if the split E(t/2) E(t/2) gives every
-    moment to within 1e-6 (StepTooLarge otherwise).
+    benchmark, computes them once for both, and takes them as the half step
+    of its third step, twice as long (:func:`_step_propagators`), with the
+    bits of fresh calls.  The step is accepted only if the split E(t/2)
+    E(t/2) gives every moment to within 1e-6 (StepTooLarge otherwise).
     :func:`_moments` reads the split moments from the input, propagating the
     backward observables through the half steps instead of the state
     forward, and the full-step ones from the output, the numbers that
-    :func:`moments` reports.  E(t) and E(t/2) of both modes come from one
-    :func:`_expm` call, and E(t/2) E(t/2) is E(t) bit for bit, so the gate
-    checks the block arithmetic.  The input must be finite, which one sum
-    over its buffer tests, and have no entries between the parity blocks of
-    n1 + n2, which the block form does not propagate (OracleError
-    otherwise).
+    :func:`moments` reports.  E(t) is E(t/2) squared, so E(t/2) E(t/2) is
+    E(t) bit for bit and the gate checks the block arithmetic.  The input
+    must be finite, which one sum over its buffer tests, and have no entries
+    between the parity blocks of n1 + n2, which the block form does not
+    propagate (OracleError otherwise).
     The returned state is validated: symmetry, unit trace, positivity (a
     Cholesky test) and the tail bound (CutoffInsufficient if the bath heats
     the state past the cutoff).  A zero step takes the same path; its blocks

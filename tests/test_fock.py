@@ -42,7 +42,7 @@ def basis_state(n1, n2, cutoff):
 
 def floored(ch, cutoff, t):
     """Which of both modes' blocks of t L have a 1-norm under theta_13, the
-    blocks whose scaling exponent _expm raises to 1."""
+    blocks that _expm does not square."""
     gen = np.concatenate([fock._mode_blocks(ch.gamma1, ch.nb1, cutoff),
                           fock._mode_blocks(ch.gamma2, ch.nb2, cutoff)])
     return np.abs(t * gen).sum(axis=-2).max(axis=-1) < fock._THETA13
@@ -411,13 +411,13 @@ class TestIntegrate:
         # times a, 2a, 4a take steps a, a, 2a (2a - a is a exactly): the build
         # exponentiates cutoff + 2 blocks and the first step both modes'
         # 2 cutoff; the second, a hit, none; the third, twice the kept step,
-        # only the blocks whose s _expm raised to 1 at a
+        # only the blocks that _expm does not square at a
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
         a, cutoff = 0.7, 8
         expm, counts = fock._expm, []
         monkeypatch.setattr(fock, "_expm",
-                            lambda stack, half=False: counts.append(len(stack)) or expm(stack, half))
+                            lambda stack: counts.append(len(stack)) or expm(stack))
         under = int(np.sum(floored(ch, cutoff, a)))
         assert 0 < under < 2 * cutoff
         fock._steps.clear()
@@ -672,21 +672,30 @@ class TestExpm:
 
     @pytest.mark.parametrize("cutoff", [2, 8, 20, 32])
     def test_half_output_is_the_exponential_of_half(self, cutoff):
-        # with half, every matrix is squared at least once: exp(A / 2) is its
-        # chain before the last squaring, bit for bit what a call on A / 2
-        # returns, and its square is exp(A) bit for bit; where a call on A
-        # squares too (s >= 1), that call gives the same bits
+        # the halving identity that the kept step rests on: where _expm
+        # squares A (1-norm above theta_13, s >= 1), A / 2 has s - 1 and the
+        # same Pade input, so exp(A) is exp(A / 2) squared bit for bit; on
+        # the fixed stacks, which hold matrices of both kinds, then on seeded
+        # draws of both modes' blocks (cutoffs 2-32, gamma t 1e-3 to 30, nb <= 2)
         from scipy.linalg import expm
 
-        stack = np.concatenate([(gt / 0.25) * fock._mode_blocks(0.25, nb, cutoff)
-                                for gt in (1e-3, 0.5, 2.0) for nb in (0.0, 0.5)])
-        squared = np.abs(stack).sum(axis=-2).max(axis=-1) > fock._THETA13
-        e, h = fock._expm(stack, half=True)
-        assert np.array_equal(h, fock._expm(0.5 * stack))
-        assert np.array_equal(e, h @ h)
-        assert np.array_equal(e[squared], fock._expm(stack)[squared])
-        assert np.max(np.abs(h - expm(0.5 * stack))) < 1e-13
-        assert np.any(squared) and not np.all(squared)
+        rng = np.random.default_rng(cutoff)
+        stacks = [np.concatenate([(gt / 0.25) * fock._mode_blocks(0.25, nb, cutoff)
+                                  for gt in (1e-3, 0.5, 2.0) for nb in (0.0, 0.5)])]
+        for _ in range(20):
+            c = int(rng.integers(2, MAX_CUTOFF + 1))
+            g1, g2 = rng.uniform(0.05, 1.0, 2)
+            nb1, nb2 = rng.uniform(0.0, 2.0, 2)
+            t = 10.0 ** rng.uniform(-3.0, math.log10(30.0)) / g1
+            stacks.append(t * np.concatenate([fock._mode_blocks(g1, nb1, c),
+                                              fock._mode_blocks(g2, nb2, c)]))
+        for stack in stacks:
+            squared = np.abs(stack).sum(axis=-2).max(axis=-1) > fock._THETA13
+            h = fock._expm(0.5 * stack)
+            assert np.array_equal(fock._expm(stack)[squared], (h @ h)[squared])
+            assert np.max(np.abs(h - expm(0.5 * stack))) < 1e-13
+        fixed = np.abs(stacks[0]).sum(axis=-2).max(axis=-1) > fock._THETA13
+        assert np.any(fixed) and not np.all(fixed)
 
     def test_zero_stack_gives_exact_identity(self):
         e = fock._expm(np.zeros((3, 5, 5)))
