@@ -190,17 +190,27 @@ def evolve_symmetric(n0: float, m0: float, gamma: float, t: float) -> tuple[floa
     return n0 * decay, m0 * decay
 
 
-def sample_trajectory(
-    p0: GaussianParams, ch: ChannelParams, t_max: float, n_points: int
-) -> Trajectory:
-    """Evaluate the evolved covariance and Simon value on a uniform time grid
-    over [0, t_max], both endpoints included.  Raises ValueError where S is
-    not finite."""
+def _uniform_times(t_max: float, n_points: int) -> list[float]:
+    """The uniform time grid t_max * i / (n_points - 1), i = 0 .. n_points - 1,
+    over [0, t_max], both endpoints included.  Raises InvalidGrid unless
+    t_max is finite and > 0, n_points >= 2 and t_max * (n_points - 1) is
+    finite, so that no point is inf."""
     if not 0 < t_max < math.inf:
         raise InvalidGrid(f"t_max must be finite and > 0, got {t_max}")
     if n_points < 2:
         raise InvalidGrid(f"n_points must be >= 2, got {n_points}")
-    times = tuple(t_max * i / (n_points - 1) for i in range(n_points))
+    if not math.isfinite(t_max * (n_points - 1)):
+        raise InvalidGrid(f"t_max * (n_points - 1) overflows: t_max {t_max}, n_points {n_points}")
+    return [t_max * i / (n_points - 1) for i in range(n_points)]
+
+
+def sample_trajectory(
+    p0: GaussianParams, ch: ChannelParams, t_max: float, n_points: int
+) -> Trajectory:
+    """Evaluate the evolved covariance and Simon value on the uniform time
+    grid of :func:`_uniform_times`.  Raises InvalidGrid for a grid it
+    refuses and ValueError where S is not finite."""
+    times = tuple(_uniform_times(t_max, n_points))
     moments, simon = _evolve_grid([(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)], ch, times)
     states = tuple(CovarianceMatrix(*row) for row in zip(*(m[0].tolist() for m in moments)))
     return Trajectory(times=times, states=states, simon=tuple(simon[0].tolist()))

@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple, fields, replace
 
 from . import fock
-from .channel import ChannelParams, _evolve_grid, evolve, sample_trajectory
+from .channel import ChannelParams, _evolve_grid, _uniform_times, evolve, sample_trajectory
 from .config import (OutputSpec, RunConfig, dump_config, finite_float, format_value,
                      parse_config_file)
 from .errors import ConfigError, GaussEsdError, OracleError
@@ -99,7 +99,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep command requires a [sweep] section in the config")
     sweep = cfg.sweep
     values = sweep.values()
-    times = [cfg.time.t_max * i / (cfg.time.n_points - 1) for i in range(cfg.time.n_points)]
 
     # (z1, z2, r, nu1, nu2) rows for _evolve_grid; SweepSpec has checked the swept values
     p = cfg.state
@@ -112,6 +111,7 @@ def cmd_sweep(args) -> int:
         params, keys, times = [(p.z1, p.z2, p.r, p.nu1, p.nu2)], [values], values
     else:
         header = [sweep.variable, "t", "S", "sign"]
+        times = _uniform_times(cfg.time.t_max, cfg.time.n_points)
         if sweep.variable == "z0":
             params = [(v, v, p.r, p.nu1, p.nu2) for v in values]
         else:

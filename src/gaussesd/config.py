@@ -11,6 +11,7 @@ adding one dataclass field.  Field order is dump order.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
@@ -58,6 +59,9 @@ class SweepSpec:
             raise ConfigError(f"[sweep] lo must be >= 0 for variable {self.variable}, got {self.lo}")
         if self.steps < 2:
             raise ConfigError(f"[sweep] steps must be >= 2, got {self.steps}")
+        if not math.isfinite((self.hi - self.lo) * (self.steps - 1)):
+            raise ConfigError(f"[sweep] (hi - lo) * (steps - 1) overflows for [{self.lo}, "
+                              f"{self.hi}] in {self.steps} steps")
 
     def values(self) -> list[float]:
         return [self.lo + (self.hi - self.lo) * i / (self.steps - 1) for i in range(self.steps)]

@@ -35,7 +35,9 @@ class BudgetExceeded(GaussEsdError):
 class OracleError(GaussEsdError):
     """The Fock-space oracle (gaussesd.fock) failed one of its gates: a
     density matrix that is not symmetric, not of unit trace or not positive,
-    or one of the subclasses below."""
+    a step's input that is not finite, a dense matrix with nonzero entries
+    between the parity blocks of n1 + n2 (refused when the state is made), or
+    one of the subclasses below."""
 
 
 class CutoffInsufficient(OracleError):

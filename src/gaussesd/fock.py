@@ -37,19 +37,18 @@ step length, as gamma t = 0.5, 1, 2 does, skips that step's exponential,
 and a step twice as long takes it as its half step.  The caches hold what
 a fresh call returns, so no result depends on the call history.
 
-Every step's input must be finite and hold no entries between the parity
-blocks, and every propagated state, a zero step's too, is checked.  The
-same step taken as two half steps must give the same moments; those are
-read in the Heisenberg picture, tr(A H H rho) = tr((H' H' A) rho), by
-propagating the moment observables backward instead of the state, by the
-same read-out as the full step's moments.  One exponential gives both
-steps: E(t/2) is that of t L / 2 and E(t) is its square, so E(t/2)^2 equals
-E(t) bit for bit and the gate checks the block arithmetic (block matmuls on
-the halves, backward-propagated observables).  The tests tie the Pade step
-to scipy's expm and, by the short-time derivative, to the dense master
-equation.  The state must be symmetric with unit trace and positive, which
-a Cholesky factorisation tests; eigenvalues are computed only to report a
-failure.
+Every step's input must be finite, and every propagated state, a zero
+step's too, is checked.  The same step taken as two half steps must give
+the same moments; those are read in the Heisenberg picture,
+tr(A H H rho) = tr((H' H' A) rho), by propagating the moment observables
+backward instead of the state, by the same read-out as the full step's
+moments.  One exponential gives both steps: E(t/2) is that of t L / 2 and
+E(t) is its square, so E(t/2)^2 equals E(t) bit for bit and the gate checks
+the block arithmetic (block matmuls on the halves, backward-propagated
+observables).  The tests tie the Pade step to scipy's expm and, by the
+short-time derivative, to the dense master equation.  The state must be
+symmetric with unit trace and positive, which a Cholesky factorisation
+tests; eigenvalues are computed only to report a failure.
 
 Truncation error is controlled operationally: the population of the top two
 Fock levels of either mode (the "tail") must stay below a tolerance, else
@@ -116,11 +115,11 @@ class FockDensityMatrix:
     and the damping generators all have real Fock matrix elements, so a real
     state stays real (Serafini, *Quantum Continuous Variables*, ch. 5).
     ``FockDensityMatrix(cutoff=..., data=...)`` takes the dense matrix in the
-    |n1, n2> basis.  Complex ``data`` is accepted only when its imaginary part
-    is exactly zero; otherwise NonNegligibleImaginaryPart is raised here, at
-    entry.  A copy of ``data`` is kept: it is what :attr:`data` returns, and
-    the whole matrix that :meth:`validate` checks when entries between the
-    parity blocks are nonzero, a state that :func:`integrate` refuses.
+    |n1, n2> basis and keeps its block form alone.  Complex ``data`` is
+    accepted only when its imaginary part is exactly zero, else
+    NonNegligibleImaginaryPart is raised here, at entry; any ``data`` only
+    when its entries between the parity blocks are exactly 0 (NaN and inf
+    are nonzero), else OracleError is.
     """
 
     def __init__(self, cutoff: int, data):
@@ -136,30 +135,29 @@ class FockDensityMatrix:
                 raise NonNegligibleImaginaryPart(
                     f"density matrix has imaginary parts up to {worst:.3e}")
             data = data.real
-        data = np.array(data, dtype=np.float64)
-        data.flags.writeable = False
         _, _, (even, odd), index, _ = _layout(cutoff)
         rows_even, rows_odd = data.take(even, 0), data.take(odd, 0)
-        self.cutoff = cutoff
-        self._data = data
-        self._cross = bool(np.any(rows_even.take(odd, 1)) or np.any(rows_odd.take(even, 1)))
+        if np.any(rows_even.take(odd, 1)) or np.any(rows_odd.take(even, 1)):
+            raise OracleError("density matrix has nonzero entries between the parity blocks "
+                              "of n1 + n2")
         # the parity blocks, even then odd, row-major, each entry to its place
-        self._buf = np.empty(index.size)
-        self._buf[index] = np.concatenate([rows_even.take(even, 1), rows_odd.take(odd, 1)],
-                                          axis=None)
+        buf = np.empty(index.size)
+        buf[index] = np.concatenate([rows_even.take(even, 1), rows_odd.take(odd, 1)], axis=None)
+        buf.flags.writeable = False
+        self.cutoff, self._buf, self._data = cutoff, buf, None
 
     @classmethod
     def _from_buffer(cls, cutoff: int, buf: np.ndarray) -> FockDensityMatrix:
         """The state whose block form is ``buf``, which it takes read-only."""
         state = cls.__new__(cls)
         buf.flags.writeable = False
-        state.cutoff, state._buf, state._cross, state._data = cutoff, buf, False, None
+        state.cutoff, state._buf, state._data = cutoff, buf, None
         return state
 
     @property
     def data(self) -> np.ndarray:
-        """The dense matrix rho[(n1 n2), (m1 m2)], read-only; a state made in
-        block form scatters it at the first read."""
+        """The dense matrix rho[(n1 n2), (m1 m2)], read-only, scattered from
+        the block form at the first read."""
         if self._data is None:
             self._data = _scatter(self.cutoff, self._buf)
             self._data.flags.writeable = False
@@ -185,9 +183,8 @@ class FockDensityMatrix:
 
         The symmetry and positivity gates work on the two parity blocks of
         n1 + n2, gathered from the buffer in one take through the index of
-        :func:`_layout`, when all entries between them are exactly 0, else on
-        a copy of the whole matrix.  d - d^T is exactly 0 on cross entries
-        that are 0, so the blocks give the whole matrix's asymmetry.  A block
+        :func:`_layout`.  d - d^T is exactly 0 on the entries between them,
+        which are 0, so the blocks give the whole matrix's asymmetry.  A block
         passes the positivity gate when its Cholesky factorisation with 1e-8
         added to the diagonal (in place, on the copy) succeeds, that is when
         it is definite (Higham, *Accuracy and Stability of Numerical
@@ -196,7 +193,7 @@ class FockDensityMatrix:
         be below -1e-8 to raise, and the message names it.  The trace and the
         tail are read from block (0, 0), rho's diagonal."""
         n = self.cutoff
-        blocks = [self.data.copy()] if self._cross else _halves(self._buf[_layout(n)[3]], n)
+        blocks = _halves(self._buf[_layout(n)[3]], n)
         # b - b^T is exactly antisymmetric in floating point, so its maximum
         # is its largest modulus; each gate is written so that NaN fails it,
         # and the reduction over blocks is numpy's, which keeps a NaN
@@ -562,9 +559,8 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     forward, and the full-step ones from the output, the numbers that
     :func:`moments` reports.  E(t) is E(t/2) squared, so E(t/2) E(t/2) is
     E(t) bit for bit and the gate checks the block arithmetic.  The input
-    must be finite, which one sum over its buffer tests, and have no entries
-    between the parity blocks of n1 + n2, which the block form does not
-    propagate (OracleError otherwise).
+    must be finite, which one sum over its buffer tests (OracleError
+    otherwise).
     The returned state is validated: symmetry, unit trace, positivity (a
     Cholesky test) and the tail bound (CutoffInsufficient if the bath heats
     the state past the cutoff).  A zero step takes the same path; its blocks
@@ -578,8 +574,6 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     total = float(np.sum(rho0._buf))
     if not math.isfinite(total):
         raise OracleError(f"input state is not finite: its entries sum to {total}")
-    if rho0._cross:
-        raise OracleError("input state has nonzero entries between the parity blocks of n1 + n2")
     n = rho0.cutoff
     (e1, e2), (h1, h2) = _step_propagators(ch, n, t)
     split = _moments(rho0._buf, n, (h1, h2), (h1, h2))

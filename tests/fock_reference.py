@@ -6,10 +6,11 @@ propagators and integrated states against these.  The initial state is also
 built the direct way, as one Kronecker product and whole-matrix products.
 """
 
+import math
+
 import numpy as np
 
 from gaussesd import ChannelParams, GaussianParams, fock
-from gaussesd.fock import FockDensityMatrix
 
 
 def ladder(cutoff: int) -> np.ndarray:
@@ -17,19 +18,20 @@ def ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
-def lindblad_rhs(rho: FockDensityMatrix, ch: ChannelParams) -> np.ndarray:
+def lindblad_rhs(m: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """Right-hand side of the master equation,
 
         sum_i gamma_i (nb_i + 1)(2 a_i rho a_i' - a_i'a_i rho - rho a_i'a_i)
             + gamma_i nb_i (2 a_i' rho a_i - a_i a_i' rho - rho a_i a_i'),
 
-    as a dense matrix of the same shape, formed directly on the two-mode
-    matrix (independent of :func:`mode_generator`).  Trace-free and symmetry
-    preserving by construction.
+    for the dense two-mode matrix m, of any entries, at the cutoff its shape
+    gives, as a matrix of the same shape, formed directly on it (independent
+    of :func:`mode_generator`).  Trace-free and symmetry preserving by
+    construction.
     """
-    a = ladder(rho.cutoff)
-    eye = np.eye(rho.cutoff)
-    m = rho.data
+    cutoff = math.isqrt(len(m))
+    a = ladder(cutoff)
+    eye = np.eye(cutoff)
     out = np.zeros_like(m)
     for c, g, nb in ((np.kron(a, eye), ch.gamma1, ch.nb1), (np.kron(eye, a), ch.gamma2, ch.nb2)):
         for op, rate in ((c, g * (nb + 1.0)), (c.T, g * nb)):

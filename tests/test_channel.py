@@ -239,6 +239,14 @@ class TestTrajectory:
             with pytest.raises(InvalidGrid, match=f"t_max must be finite and > 0, got {t_max}"):
                 sample_trajectory(p, ch, t_max, 4)
 
+    def test_overflowing_grid_refused(self):
+        # t_max is finite, but t_max * (n_points - 1) is not: the last point
+        # would be inf, so the grid is refused; one point fewer is accepted
+        p, ch = GaussianParams.tmsv(0.5), ChannelParams.symmetric(0.1)
+        with pytest.raises(InvalidGrid, match=r"t_max \* \(n_points - 1\) overflows"):
+            sample_trajectory(p, ch, 1e308, 3)
+        assert sample_trajectory(p, ch, 1e308, 2).times == (0.0, 1e308)
+
     def test_trajectory_validates_lengths(self):
         cm = CovarianceMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(InvalidGrid):

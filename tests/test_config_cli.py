@@ -115,6 +115,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be finite"):
             build()
 
+    def test_sweep_span_checked_on_the_largest_product(self):
+        # values() forms (hi - lo) * i before dividing by steps - 1: the range
+        # of the t_span case below is refused at 3 steps and kept at 2
+        assert SweepSpec("t", 0.0, 1e308, 2).values() == [0.0, 1e308]
+
     def test_sweep_requires_all_keys(self):
         with pytest.raises(ConfigError, match="missing required key"):
             parse_config("[sweep]\nvariable = z0\nlo = 0\nhi = 1\n")
@@ -181,7 +186,12 @@ class TestConfig:
         ("oracle-check", "oracle", "times", "times = 0\n"),
         ("sweep", "sweep", "lo", "variable = nu\nlo = -1\nhi = 1\nsteps = 3\n"),
         ("sweep", "sweep", "lo", "variable = t\nlo = -1\nhi = 1\nsteps = 3\n"),
-    ], ids=["t_max", "n_points", "steps", "format", "times", "nu_lo", "t_lo"])
+        ("sweep", "sweep", "(hi - lo) * (steps - 1) overflows",
+         "variable = t\nlo = 0\nhi = 1e308\nsteps = 3\n"),
+        ("sweep", "sweep", "(hi - lo) * (steps - 1) overflows",
+         "variable = z0\nlo = -1e308\nhi = 1e308\nsteps = 3\n"),
+    ], ids=["t_max", "n_points", "steps", "format", "times", "nu_lo", "t_lo", "t_span",
+            "z0_span"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, section, key,
                                                 text):
         cfg = tmp_path / "c.cfg"
@@ -268,6 +278,34 @@ class TestEvolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "domain error: Simon value is not finite on the grid\n"
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("evolve", ""),
+        ("sweep", "[sweep]\nvariable = z0\nlo = 0\nhi = 1\nsteps = 2\n"),
+    ], ids=["evolve", "sweep-z0"])
+    def test_overflowing_time_grid_is_a_domain_error(self, tmp_path, capsys, command, sweep):
+        # t_max * 2 overflows, so the last grid point would be inf; the grid
+        # refuses it before any row is written
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"[state]\nr = 1\n[time]\nt_max = 1e308\nn_points = 3\n{sweep}")
+        assert main([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "domain error: t_max * (n_points - 1) overflows: t_max 1e+308, n_points 3\n")
+
+    def test_time_grid_read_only_where_used(self, tmp_path, capsys):
+        # esd reads t_max alone, a t or nu sweep no time grid: t_max = 1e308
+        # with 3 points is refused by neither
+        cfg = tmp_path / "long.cfg"
+        text = "[state]\nr = 1\n[time]\nt_max = 1e308\nn_points = 3\n"
+        cfg.write_text(text)
+        assert main(["esd", "--config", str(cfg)]) == 0
+        assert "kind: Asymptotic\n" in capsys.readouterr().out
+        for variable in ("t", "nu"):
+            cfg.write_text(f"{text}[sweep]\nvariable = {variable}\nlo = 0\nhi = 1\nsteps = 2\n")
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            assert "inf" not in capsys.readouterr().out
 
     def test_t_max_override(self, tmp_path):
         out = tmp_path / "override.csv"

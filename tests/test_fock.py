@@ -48,12 +48,29 @@ def floored(ch, cutoff, t):
     return np.abs(t * gen).sum(axis=-2).max(axis=-1) < fock._THETA13
 
 
-def random_state(rng, cutoff):
+def parity(cutoff):
+    """The parity of n1 + n2 at each flat index n1 * cutoff + n2."""
+    return np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel() % 2
+
+
+def same_parity(cutoff):
+    """Mask of the entries within the parity blocks of n1 + n2."""
+    par = parity(cutoff)
+    return par[:, None] == par
+
+
+def random_matrix(rng, cutoff):
     """Random real symmetric positive unit-trace two-mode matrix."""
     d = cutoff * cutoff
     x = rng.normal(size=(d, d))
     rho = x @ x.T
-    return FockDensityMatrix(cutoff=cutoff, data=rho / np.trace(rho))
+    return rho / np.trace(rho)
+
+
+def random_state(rng, cutoff):
+    """random_matrix on the parity blocks of n1 + n2, 0 between them: its
+    principal blocks, so still positive, and of unit trace."""
+    return FockDensityMatrix(cutoff=cutoff, data=random_matrix(rng, cutoff) * same_parity(cutoff))
 
 
 class TestBuildInitialState:
@@ -94,7 +111,8 @@ class TestBuildInitialState:
         rho.validate()  # symmetric, unit trace, positive, small tail
 
     @pytest.mark.parametrize("data, message", [
-        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 1e-9), 1), "not symmetric"),
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 1e-9), 1) * same_parity(2),
+         "not symmetric"),
         (np.diag([0.5, 0.5, 0.0, 1e-7]), "trace deviates"),
         (np.diag([0.75, 0.5, -0.25, 0.0]), "not positive"),
     ], ids=["symmetry", "trace", "positivity"])
@@ -104,7 +122,7 @@ class TestBuildInitialState:
             rho.validate(tail_tol=1.0)
         assert not isinstance(exc.value, ValueError)
 
-    @pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)]],
+    @pytest.mark.parametrize("entries", [[(1, 1)], [(0, 3), (3, 0)]],
                              ids=["diagonal", "off-diagonal"])
     def test_nan_fails_validate(self, entries):
         # NaN - NaN is NaN, also on the diagonal: the symmetry gate fails first
@@ -127,10 +145,9 @@ class TestBuildInitialState:
         # cross-parity entries exactly zero, one eigenvalue -0.02 in the odd
         # block of n1 + n2: the message is the whole matrix's, as before
         cutoff = 3
-        parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel() % 2
         data = np.zeros((cutoff**2, cutoff**2))
         for par, eigs in ((0, [0.3, 0.2, 0.1, 0.1, 0.0]), (1, [0.22, 0.1, 0.0, -0.02])):
-            sel = np.flatnonzero(parity == par)
+            sel = np.flatnonzero(parity(cutoff) == par)
             q, _ = np.linalg.qr(rng.normal(size=(len(sel), len(sel))))
             data[np.ix_(sel, sel)] = (q * eigs) @ q.T
         rho = FockDensityMatrix(cutoff=cutoff, data=0.5 * (data + data.T))
@@ -140,34 +157,18 @@ class TestBuildInitialState:
         with pytest.raises(OracleError, match=re.escape(expected)):
             rho.validate(tail_tol=1.0)
 
-    def test_cross_parity_entries_checked_on_whole_matrix(self):
-        # both parity blocks are PSD; the entry linking |0,0> (even) and
-        # |0,1> (odd) makes the whole matrix indefinite (eigenvalue -0.15)
-        data = np.eye(4) / 4.0
-        data[0, 1] = data[1, 0] = 0.4
-        rho = FockDensityMatrix(cutoff=2, data=data)
-        with pytest.raises(OracleError, match=re.escape("not positive: min eigenvalue -1.500e-01")):
-            rho.validate(tail_tol=1.0)
-
-    @pytest.mark.parametrize("cross", [False, True], ids=["parity-blocks", "whole-matrix"])
     @pytest.mark.parametrize("lowest", [-0.99e-8, -1.01e-8])
-    def test_positivity_boundary(self, rng, monkeypatch, cross, lowest):
-        # the eigenvalue floor is -1e-8 on both paths: the Cholesky test
-        # alone passes -0.99e-8, and the eigenvalue fallback rejects -1.01e-8
+    def test_positivity_boundary(self, rng, monkeypatch, lowest):
+        # the eigenvalue floor is -1e-8: the Cholesky test alone passes
+        # -0.99e-8, and the eigenvalue fallback rejects -1.01e-8
         cutoff = 3
-        parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)).ravel() % 2
         eigs = {0: [0.4, 0.2, 0.1, 0.1, 0.0], 1: [0.1 - lowest, 0.1, 0.0, lowest]}  # trace 1
-        if cross:
-            q, _ = np.linalg.qr(rng.normal(size=(cutoff**2, cutoff**2)))
-            data = (q * (eigs[0] + eigs[1])) @ q.T
-        else:
-            data = np.zeros((cutoff**2, cutoff**2))
-            for par in (0, 1):
-                sel = np.flatnonzero(parity == par)
-                q, _ = np.linalg.qr(rng.normal(size=(len(sel), len(sel))))
-                data[np.ix_(sel, sel)] = (q * eigs[par]) @ q.T
+        data = np.zeros((cutoff**2, cutoff**2))
+        for par in (0, 1):
+            sel = np.flatnonzero(parity(cutoff) == par)
+            q, _ = np.linalg.qr(rng.normal(size=(len(sel), len(sel))))
+            data[np.ix_(sel, sel)] = (q * eigs[par]) @ q.T
         rho = FockDensityMatrix(cutoff=cutoff, data=0.5 * (data + data.T))
-        assert np.any(rho.data[np.ix_(parity == 0, parity == 1)]) == cross
         if lowest < -1e-8:
             with pytest.raises(OracleError, match=re.escape("min eigenvalue -1.010e-08")):
                 rho.validate(tail_tol=1.0)
@@ -177,8 +178,7 @@ class TestBuildInitialState:
 
     def test_parity_blocks_accept_a_built_state(self):
         rho = build_initial_state(GaussianParams(0.2, -0.1, 0.4, 0.1, 0.2), 12, tail_tol=1e-3)
-        parity = np.add.outer(np.arange(12), np.arange(12)).ravel() % 2
-        assert not np.any(rho.data[np.ix_(parity == 0, parity == 1)])  # the structural zero
+        assert not np.any(rho.data[~same_parity(12)])  # the structural zero
         rho.validate(tail_tol=1e-3)
 
     @pytest.mark.parametrize("cls", [CutoffInsufficient, StepTooLarge, NonNegligibleImaginaryPart])
@@ -202,14 +202,14 @@ class TestBuildInitialState:
 class TestLindbladRhs:
     def test_vacuum_is_zero_temperature_fixed_point(self):
         rho = build_initial_state(GaussianParams(0.0, 0.0, 0.0), 6)
-        rhs = lindblad_rhs(rho, ChannelParams.symmetric(0.3))
+        rhs = lindblad_rhs(rho.data, ChannelParams.symmetric(0.3))
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_single_photon_decay_rate(self):
         # d<n1>/dt = -2 gamma at t = 0 for |1,0><1,0| in a cold bath
         gamma = 0.35
         rho = basis_state(1, 0, 5)
-        rhs = lindblad_rhs(rho, ChannelParams.symmetric(gamma))
+        rhs = lindblad_rhs(rho.data, ChannelParams.symmetric(gamma))
         n1_op = np.diag([n1 for n1 in range(5) for _ in range(5)]).astype(float)
         rate = np.trace(n1_op @ rhs).real
         assert rate == pytest.approx(-2.0 * gamma, abs=1e-12)
@@ -217,23 +217,22 @@ class TestLindbladRhs:
     def test_thermal_fixed_point(self):
         ch = ChannelParams(0.3, 0.2, 0.6, 0.4)
         rho = build_initial_state(GaussianParams(0.0, 0.0, 0.0, 0.6, 0.4), 16)
-        rhs = lindblad_rhs(rho, ch)
+        rhs = lindblad_rhs(rho.data, ch)
         assert np.max(np.abs(rhs)) < 1e-14
 
     def test_trace_free_and_hermiticity_preserving(self, rng):
         # the operators are real, so L acts on real and imaginary parts
-        # separately and a real symmetric state covers the general case
-        rhs = lindblad_rhs(random_state(rng, 6), ChannelParams(0.2, 0.4, 0.3, 0.1))
+        # separately and a real symmetric matrix covers the general case
+        rhs = lindblad_rhs(random_matrix(rng, 6), ChannelParams(0.2, 0.4, 0.3, 0.1))
         assert abs(np.trace(rhs)) < 1e-12
         assert np.max(np.abs(rhs - rhs.T)) < 1e-12
 
     def test_matches_factorized_generator(self, rng):
         cutoff = 6
         d = cutoff * cutoff
-        fr = random_state(rng, cutoff)
-        rho = fr.data
+        rho = random_matrix(rng, cutoff)
         ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
-        direct = lindblad_rhs(fr, ch)
+        direct = lindblad_rhs(rho, ch)
         # L1 (x) I + I (x) L2 acting on rho regrouped as X[(n1 m1), (n2 m2)]
         total = np.kron(mode_generator(ch.gamma1, ch.nb1, cutoff), np.eye(d)) + np.kron(
             np.eye(d), mode_generator(ch.gamma2, ch.nb2, cutoff)
@@ -379,15 +378,47 @@ class TestIntegrate:
                 rho.data[0, 0] = 0.0
 
     def test_cross_parity_input_refused(self):
-        # one entry between |0,0> (even n1 + n2) and |0,1> (odd): the block
-        # form cannot hold it, so the step refuses the input by name
-        rho = build_initial_state(GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1), 8, tail_tol=1.0)
-        data = rho.data.copy()
-        data[0, 1] = 1e-3
-        with pytest.raises(OracleError, match="nonzero entries between the parity blocks") as exc:
-            integrate(FockDensityMatrix(cutoff=8, data=data), ChannelParams.symmetric(0.2), 1.0,
-                      tail_tol=1.0)
-        assert not isinstance(exc.value, StepTooLarge)
+        # an entry between |0,0> (even n1 + n2) and |0,1> (odd) of a built
+        # state, on one side at cutoff 8 and on both at cutoff 2, where it
+        # would make the whole matrix indefinite: the block form cannot hold
+        # it, so the state is refused by name when it is made, and no step or
+        # gate ever sees it
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        for cutoff, entries in ((8, [(0, 1)]), (2, [(0, 1), (1, 0)])):
+            data = build_initial_state(p, cutoff, tail_tol=1.0).data.copy()
+            for i, j in entries:
+                data[i, j] = 0.4
+            with pytest.raises(OracleError, match="nonzero entries between the parity blocks") as exc:
+                FockDensityMatrix(cutoff=cutoff, data=data)
+            assert type(exc.value) is OracleError
+
+    @pytest.mark.parametrize("entry", [1.0, 5e-324, math.nan, math.inf])
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_every_cross_parity_entry_refused(self, cutoff, entry):
+        # one nonzero entry at each position between the parity blocks, the
+        # least subnormal and the non-finite values too, of a state that is
+        # accepted without it
+        data = np.eye(cutoff**2) / cutoff**2
+        FockDensityMatrix(cutoff=cutoff, data=data)
+        rows, cols = np.nonzero(~same_parity(cutoff))
+        assert len(rows) == {2: 8, 3: 40}[cutoff]  # 2 e o, e and o the block sizes
+        for i, j in zip(rows, cols):
+            cross = data.copy()
+            cross[i, j] = entry
+            with pytest.raises(OracleError, match="nonzero entries between the parity blocks"):
+                FockDensityMatrix(cutoff=cutoff, data=cross)
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_signed_zero_cross_entries_accepted(self, rng, cutoff):
+        # +0.0 and -0.0 between the parity blocks are zeros: the state is
+        # kept, and its dense matrix is the input's bits on the parity blocks
+        # and +0.0 between them
+        data = random_state(rng, cutoff).data.copy()
+        cross = ~same_parity(cutoff)
+        data[cross] = np.tile([0.0, -0.0], cross.sum() // 2)
+        rho = FockDensityMatrix(cutoff=cutoff, data=data)
+        assert rho.data[~cross].tobytes() == data[~cross].tobytes()
+        assert not np.signbit(rho.data[cross]).any()
 
     def test_oracle_op_builds_no_dense_matrix(self, monkeypatch):
         # build, three steps, moments and tail after each, as the benchmark's
@@ -491,7 +522,7 @@ class TestIntegrate:
         ch = ChannelParams(0.2, 0.4, 0.3, 0.1)
         h = 1e-5
         step = integrate(rho, ch, h, tail_tol=1e-3)
-        assert np.max(np.abs((step.data - rho.data) / h - lindblad_rhs(rho, ch))) < 1e-5
+        assert np.max(np.abs((step.data - rho.data) / h - lindblad_rhs(rho.data, ch))) < 1e-5
 
     def test_heating_past_cutoff_detected(self):
         # a hot bath drives the truncated state into the tail
@@ -724,7 +755,7 @@ class TestMoments:
         for cutoff in (2, 3, 6, 20):
             rho = random_state(rng, cutoff)
             if not symmetric:
-                y = rng.normal(size=rho.data.shape) / rho.data.size
+                y = rng.normal(size=rho.data.shape) / rho.data.size * same_parity(cutoff)
                 rho = FockDensityMatrix(cutoff=cutoff, data=rho.data + y - y.T)
             cm = moments(rho)
             expected = dense_moments(rho.data, cutoff)
