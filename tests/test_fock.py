@@ -157,6 +157,18 @@ class TestBuildInitialState:
         with pytest.raises(OracleError, match=re.escape(expected)):
             rho.validate(tail_tol=1.0)
 
+    def test_cross_parity_entries_checked_on_whole_matrix(self):
+        # both parity blocks are PSD; the entry linking |0,0> (even) and
+        # |0,1> (odd) would make the whole matrix indefinite (eigenvalue
+        # -0.15): the block form cannot hold it, so the state is refused by
+        # name when it is made
+        data = np.eye(4) / 4.0
+        data[0, 1] = data[1, 0] = 0.4
+        assert np.linalg.eigvalsh(data).min() == pytest.approx(-0.15)
+        with pytest.raises(OracleError, match="nonzero entries between the parity blocks") as exc:
+            FockDensityMatrix(cutoff=2, data=data)
+        assert type(exc.value) is OracleError
+
     @pytest.mark.parametrize("lowest", [-0.99e-8, -1.01e-8])
     def test_positivity_boundary(self, rng, monkeypatch, lowest):
         # the eigenvalue floor is -1e-8: the Cholesky test alone passes
@@ -378,19 +390,15 @@ class TestIntegrate:
                 rho.data[0, 0] = 0.0
 
     def test_cross_parity_input_refused(self):
-        # an entry between |0,0> (even n1 + n2) and |0,1> (odd) of a built
-        # state, on one side at cutoff 8 and on both at cutoff 2, where it
-        # would make the whole matrix indefinite: the block form cannot hold
-        # it, so the state is refused by name when it is made, and no step or
-        # gate ever sees it
+        # one entry between |0,0> (even n1 + n2) and |0,1> (odd) of a built
+        # state: the block form cannot hold it, so the state is refused by
+        # name when it is made, and no step or gate ever sees it
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
-        for cutoff, entries in ((8, [(0, 1)]), (2, [(0, 1), (1, 0)])):
-            data = build_initial_state(p, cutoff, tail_tol=1.0).data.copy()
-            for i, j in entries:
-                data[i, j] = 0.4
-            with pytest.raises(OracleError, match="nonzero entries between the parity blocks") as exc:
-                FockDensityMatrix(cutoff=cutoff, data=data)
-            assert type(exc.value) is OracleError
+        data = build_initial_state(p, 8, tail_tol=1.0).data.copy()
+        data[0, 1] = 0.4
+        with pytest.raises(OracleError, match="nonzero entries between the parity blocks") as exc:
+            FockDensityMatrix(cutoff=8, data=data)
+        assert type(exc.value) is OracleError
 
     @pytest.mark.parametrize("entry", [1.0, 5e-324, math.nan, math.inf])
     @pytest.mark.parametrize("cutoff", [2, 3])
