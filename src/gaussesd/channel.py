@@ -75,27 +75,40 @@ class Trajectory:
             raise InvalidGrid("trajectory times must be strictly increasing")
 
 
-def _mode_decay(gamma: float, nb: float, t: float) -> tuple[float, float, float]:
-    """(e, k, o) of one mode for states._combine.  Normally
-    k = (exp(2 gamma t) - 1) nb and o = 0; where that overflows, k = -nb and
-    o = nb give the limit form nb + e (X - nb)."""
-    e = math.exp(-2.0 * gamma * t)
-    try:
-        k = (math.exp(2.0 * gamma * t) - 1.0) * nb
-    except OverflowError:
-        k = math.inf
-    if not k < math.inf:
-        return e, -nb, nb
-    return e, k, 0.0
+def _decay(ch: ChannelParams):
+    """t -> the decay factors (e1, k1, o1, e2, k2, o2, h) of states._combine,
+    from math.exp, with the channel read once.  Normally
+    k_i = (exp(2 gamma_i t) - 1) nb_i and o_i = 0; where that overflows,
+    k_i = -nb_i and o_i = nb_i give the limit form nb_i + e_i (X - nb_i);
+    where nb_i = 0, k_i = 0.  gamma_i t is formed before it is doubled, and
+    t = 0 gives the identity factors, so no finite rate gives inf * 0."""
+    g1, g2, nb1, nb2 = ch.gamma1, ch.gamma2, ch.nb1, ch.nb2
+    g12 = g1 + g2
+    exp = math.exp
 
+    def at(t: float) -> tuple:
+        if t == 0.0:
+            return 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5
+        x1 = 2.0 * (g1 * t)
+        x2 = 2.0 * (g2 * t)
+        k1 = o1 = k2 = o2 = 0.0
+        if nb1:
+            try:
+                k1 = (exp(x1) - 1.0) * nb1
+            except OverflowError:
+                k1 = math.inf
+            if not k1 < math.inf:
+                k1, o1 = -nb1, nb1
+        if nb2:
+            try:
+                k2 = (exp(x2) - 1.0) * nb2
+            except OverflowError:
+                k2 = math.inf
+            if not k2 < math.inf:
+                k2, o2 = -nb2, nb2
+        return exp(-x1), k1, o1, exp(-x2), k2, o2, 0.5 * exp(-g12 * t)
 
-def _time_factors(ch: ChannelParams, t: float) -> tuple:
-    """The decay factors of states._combine at time t, from math.exp."""
-    return (
-        *_mode_decay(ch.gamma1, ch.nb1, t),
-        *_mode_decay(ch.gamma2, ch.nb2, t),
-        0.5 * math.exp(-(ch.gamma1 + ch.gamma2) * t),
-    )
+    return at
 
 
 def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
@@ -108,18 +121,20 @@ def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     if not t >= 0:  # NaN fails it too
         raise ValueError(f"time must be >= 0, got {t}")
     terms = _param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)
-    return CovarianceMatrix(*_combine(terms, _time_factors(ch, t)))
+    return CovarianceMatrix(*_combine(terms, _decay(ch)(t)))
 
 
 def simon_curve(p0: GaussianParams, ch: ChannelParams):
     """t -> simon_criterion(evolve(p0, ch, t)), bit for bit, with the
-    per-state terms computed once and no dataclass per call."""
+    per-state terms and the channel's decay function built once per curve
+    and no dataclass per call."""
     terms = _param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)
+    decay = _decay(ch)
 
     def s_of(t: float) -> float:
         if not t >= 0:  # NaN fails it too
             raise ValueError(f"time must be >= 0, got {t}")
-        s = simon_from_moments(*_combine(terms, _time_factors(ch, t)))
+        s = simon_from_moments(*_combine(terms, decay(t)))
         if not math.isfinite(s):
             raise ValueError(f"Simon value is not finite at t={t}")
         return s
@@ -137,7 +152,7 @@ def _evolve_grid(rows, ch: ChannelParams, times) -> tuple:
     if not all(t >= 0 for t in times):  # NaN fails it too
         raise ValueError("times must be >= 0")
     terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 14).T[:, :, None]
-    factors = np.array([_time_factors(ch, t) for t in times]).reshape(-1, 7).T
+    factors = np.array(list(map(_decay(ch), times))).reshape(-1, 7).T
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _combine(terms, factors)
         s = simon_from_moments(*moments)

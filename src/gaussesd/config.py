@@ -27,6 +27,11 @@ OUTPUT_FORMATS = ("csv", "json")
 # two-mode matrices are cutoff^2 x cutoff^2.  Defined here so that a config is
 # checked without loading the oracle.
 MAX_CUTOFF = 32
+# Largest [time] n_points and [sweep] steps.  `evolve` holds about 1 kB per
+# time point and takes about 20 us per point (2 s and 120 MB at this bound,
+# measured on 2 vCPUs); a t sweep a third of the time and half the memory.
+# The bound is checked before any grid is built or converted to float.
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class TimeGrid:
     def __post_init__(self):
         if not _require_finite("[time] t_max", self.t_max) > 0:
             raise ConfigError(f"[time] t_max must be > 0, got {self.t_max}")
-        if self.n_points < 2:
-            raise ConfigError(f"[time] n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ConfigError(f"[time] n_points must be in [2, {MAX_POINTS}], got {self.n_points}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,8 @@ class SweepSpec:
             raise ConfigError(f"[sweep] range must be non-degenerate, got [{self.lo}, {self.hi}]")
         if self.variable in ("nu", "t") and self.lo < 0:
             raise ConfigError(f"[sweep] lo must be >= 0 for variable {self.variable}, got {self.lo}")
-        if self.steps < 2:
-            raise ConfigError(f"[sweep] steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_POINTS:
+            raise ConfigError(f"[sweep] steps must be in [2, {MAX_POINTS}], got {self.steps}")
         if not math.isfinite((self.hi - self.lo) * (self.steps - 1)):
             raise ConfigError(f"[sweep] (hi - lo) * (steps - 1) overflows for [{self.lo}, "
                               f"{self.hi}] in {self.steps} steps")

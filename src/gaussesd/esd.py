@@ -187,7 +187,10 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
             diagnostics={"s0": s0},
         )
 
-    gamma_mean = 0.5 * (ch.gamma1 + ch.gamma2)
+    # halved before the sum, so that two rates near the float maximum give a
+    # finite mean; the first point is then at least 1e-3 / 1.8e308, which is
+    # positive and far enough above 5e-324 that each step by 1.25 advances
+    gamma_mean = 0.5 * ch.gamma1 + 0.5 * ch.gamma2
     t_lo, t = 0.0, min(1e-3 / gamma_mean, t_max)
     while (s := s_of(t)) < SIGN_TOL:
         if t >= t_max:  # the grid ends at t_max exactly

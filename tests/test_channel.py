@@ -43,6 +43,18 @@ def random_setup(rng):
     return p, ch
 
 
+def literal_occupation(gamma, nb, t, x):
+    """n_i written out from the terms x = (a, b), X = a + b: e ((exp(2 gamma
+    t) - 1) nb + X), or, past 2 gamma t = 709.78 where exp(2 gamma t)
+    overflows a double, the limit form nb + e (X - nb) in the same grouping.
+    Callers keep 2 gamma t out of (700, 720): there, for nb > 1, the product
+    with nb overflows before the exponential does."""
+    e = math.exp(-2.0 * gamma * t)
+    if 2.0 * gamma * t > 709.78:
+        return e * (-nb + x[0] + x[1]) + nb
+    return e * ((math.exp(2.0 * gamma * t) - 1.0) * nb + x[0] + x[1])
+
+
 def literal_closed_form(p, ch, t):
     """The closed form written out term by term, the reference for the
     factorized evaluation (same grouping, so the same bits)."""
@@ -51,12 +63,10 @@ def literal_closed_form(p, ch, t):
     chr2, shr2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
     psum = 1.0 + p.nu1 + p.nu2
     return CovarianceMatrix(
-        n1=e1 * ((math.exp(2.0 * ch.gamma1 * t) - 1.0) * ch.nb1
-                 + math.cosh(2.0 * p.z1) * (p.nu1 * chr2 + (1.0 + p.nu2) * shr2)
-                 + math.sinh(p.z1) ** 2),
-        n2=e2 * ((math.exp(2.0 * ch.gamma2 * t) - 1.0) * ch.nb2
-                 + math.cosh(2.0 * p.z2) * (p.nu2 * chr2 + (1.0 + p.nu1) * shr2)
-                 + math.sinh(p.z2) ** 2),
+        n1=literal_occupation(ch.gamma1, ch.nb1, t, (
+            math.cosh(2.0 * p.z1) * (p.nu1 * chr2 + (1.0 + p.nu2) * shr2), math.sinh(p.z1) ** 2)),
+        n2=literal_occupation(ch.gamma2, ch.nb2, t, (
+            math.cosh(2.0 * p.z2) * (p.nu2 * chr2 + (1.0 + p.nu1) * shr2), math.sinh(p.z2) ** 2)),
         m1=-e1 * (p.nu1 - p.nu2 + psum * math.cosh(2.0 * p.r)) * math.cosh(p.z1) * math.sinh(p.z1),
         m2=-e2 * (p.nu2 - p.nu1 + psum * math.cosh(2.0 * p.r)) * math.cosh(p.z2) * math.sinh(p.z2),
         ms=-0.5 * ec * psum * math.sinh(2.0 * p.r) * math.sinh(p.z1 + p.z2),
@@ -66,19 +76,41 @@ def literal_closed_form(p, ch, t):
 
 class TestEvolve:
     def test_matches_literal_closed_form_bitwise(self, rng):
+        # each draw holds t = 0, times in both branches of each mode (2 gamma
+        # t up to 360, and past the overflow at 720 to 1500 on one or both
+        # modes) and, on a quarter of the modes, nb = 0 exactly, which skips
+        # exp(2 gamma t); checked through evolve, simon_curve and simon_grid
         for _ in range(500):
             p, ch = random_setup(rng)
-            ch = ChannelParams(ch.gamma1, ch.gamma2, 3.0 * ch.nb1, 3.0 * ch.nb2)
-            t = float(rng.choice([0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 300.0)]))
-            assert evolve(p, ch, t) == literal_closed_form(p, ch, t)
+            nb1, nb2 = (3.0 * nb if rng.random() < 0.75 else 0.0 for nb in (ch.nb1, ch.nb2))
+            ch = ChannelParams(ch.gamma1, ch.gamma2, nb1, nb2)
+            late = rng.uniform(720.0, 1500.0) / (2.0 * rng.choice([ch.gamma1, ch.gamma2]))
+            times = [0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 300.0), late]
+            times = [float(t) for t in times
+                     if not any(700.0 < 2.0 * g * t < 720.0 for g in (ch.gamma1, ch.gamma2))]
+            want = [literal_closed_form(p, ch, t) for t in times]
+            assert [evolve(p, ch, t) for t in times] == want
+            s_want = [simon_criterion(cm) for cm in want]
+            curve = simon_curve(p, ch)
+            assert [curve(t) for t in times] == s_want
+            assert simon_grid([p], ch, times)[0].tolist() == s_want
         for _ in range(100):
             p, _ = random_setup(rng)
             assert cm_from_params(p) == literal_closed_form(p, ChannelParams.symmetric(1.0), 0.0)
 
     def test_t_zero_matches_initial_moments(self, rng):
-        for _ in range(50):
+        # for every finite rate: here 2 gamma or gamma1 + gamma2 overflows to
+        # inf on every other draw, where inf * 0 would give nan
+        huge = [ChannelParams(1e308, 0.1), ChannelParams(1e308, 1e308, 0.1, 0.1),
+                ChannelParams(0.1, 1.7e308, 0.0, 0.3)]
+        for i in range(50):
             p, ch = random_setup(rng)
+            if i % 2:
+                ch = huge[i % 3]
+            s0 = simon_criterion(cm_from_params(p))
             assert evolve(p, ch, 0.0) == cm_from_params(p)
+            assert simon_curve(p, ch)(0.0) == s0
+            assert simon_grid([p], ch, [0.0]).tolist() == [[s0]]
 
     def test_long_time_limit_is_bath(self, rng):
         for _ in range(20):

@@ -11,6 +11,7 @@ import pytest
 from gaussesd import ChannelParams, ConfigError, GaussianParams, cli, evolve, fock, simon_criterion
 from gaussesd.cli import main
 from gaussesd.config import (
+    MAX_POINTS,
     OracleSpec,
     OutputSpec,
     RunConfig,
@@ -190,8 +191,16 @@ class TestConfig:
          "variable = t\nlo = 0\nhi = 1e308\nsteps = 3\n"),
         ("sweep", "sweep", "(hi - lo) * (steps - 1) overflows",
          "variable = z0\nlo = -1e308\nhi = 1e308\nsteps = 3\n"),
+        # above MAX_POINTS, refused where the config is parsed: before a grid
+        # is built or its size converted to float (which overflows past 309
+        # digits)
+        *[("evolve", "time", "n_points", f"n_points = {n}\n")
+          for n in (MAX_POINTS + 1, 10**300, 10**400)],
+        *[("sweep", "sweep", "steps", f"variable = z0\nlo = 0\nhi = 1\nsteps = {n}\n")
+          for n in (MAX_POINTS + 1, 10**300, 10**400)],
     ], ids=["t_max", "n_points", "steps", "format", "times", "nu_lo", "t_lo", "t_span",
-            "z0_span"])
+            "z0_span", "n_points-max+1", "n_points-301-digits", "n_points-401-digits",
+            "steps-max+1", "steps-301-digits", "steps-401-digits"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, section, key,
                                                 text):
         cfg = tmp_path / "c.cfg"
@@ -237,6 +246,18 @@ class TestEvolveCommand:
         assert capsys.readouterr().err == (
             "domain error: closed-form moments overflow at z1=400.0, z2=400.0, r=1.0\n"
         )
+
+    @pytest.mark.parametrize("command", ["evolve", "esd"])
+    def test_rate_near_the_float_maximum_answers(self, tmp_path, capsys, command):
+        # 2 gamma1 and gamma1 + gamma2 overflow to inf; t = 0 still gives the
+        # initial state, not inf * 0 = nan
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("[state]\nz1 = 0.3\nr = 1\n[channel]\ngamma1 = 1e308\ngamma2 = 0.1\n"
+                       "nb1 = 0.2\n[time]\nn_points = 4\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "nan" not in captured.out and "inf" not in captured.out
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

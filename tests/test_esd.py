@@ -188,6 +188,18 @@ class TestNumericRoot:
         assert res.kind is EsdKind.ASYMPTOTIC
         assert res.diagnostics["s_at_t_max"] == 0.0
 
+    @pytest.mark.parametrize("ch, kind", [
+        (ChannelParams(1e308, 0.1), EsdKind.ASYMPTOTIC),
+        (ChannelParams(1e308, 1e308, 0.1, 0.1), EsdKind.FINITE_TIME),
+    ], ids=["one-huge", "both-huge-heated"])
+    def test_rates_near_the_float_maximum_return(self, ch, kind):
+        # S(0) is the initial state's, not nan from inf * 0, and the mean rate
+        # stays finite, so the scan starts above t = 0 and advances
+        p = GaussianParams(0.3, 0.2, 1.0, 0.1, 0.2)
+        res = t_esd_numeric(p, ch, 30.0)
+        assert res.kind is kind
+        assert res.t_esd is None or res.t_esd > 0.0
+
     def test_initially_separable(self):
         # threshold for nu = (1, 1) is ~0.549 > 0.3
         res = t_esd_numeric(
