@@ -38,8 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Reservoir couplings: finite dissipation rates gamma_i > 0 (inverse
-    time) and finite bath thermal occupations nb_i >= 0."""
+    """Reservoir couplings: dissipation rates gamma_i > 0 (inverse time),
+    every finite one, and finite bath thermal occupations nb_i >= 0.  Rates
+    and times enter only as gamma_i t (:func:`_decay`), so scaling the rates
+    by 2**k and every time by 2**-k keeps every bit while gamma t is normal."""
 
     gamma1: float
     gamma2: float
@@ -76,19 +78,21 @@ class Trajectory:
 
 
 def _decay(ch: ChannelParams):
-    """t -> the decay factors (e1, k1, o1, e2, k2, o2, h) of states._combine,
-    from math.exp, with the channel read once.  Normally
-    k_i = (exp(2 gamma_i t) - 1) nb_i and o_i = 0; where that overflows,
-    k_i = -nb_i and o_i = nb_i give the limit form nb_i + e_i (X - nb_i);
-    where nb_i = 0, k_i = 0.  gamma_i t is formed before it is doubled, and
-    t = 0 gives the identity factors, so no finite rate gives inf * 0."""
+    """t -> the decay factors (e1, k1, o1, e2, k2, o2, ec) of states._combine,
+    with the channel read once: the only code that exponentiates a rate times
+    a time.  e_i = exp(-2 gamma_i t) and ec = exp(-(gamma1 + gamma2) t).
+    Normally k_i = (exp(2 gamma_i t) - 1) nb_i and o_i = 0; where that
+    overflows, k_i = -nb_i and o_i = nb_i give the limit form
+    nb_i + e_i (X - nb_i); where nb_i = 0, k_i = 0.  Each gamma t is formed
+    before it is doubled, and (gamma1 + gamma2) t as 2 ((gamma1/2 + gamma2/2) t)
+    where the sum overflows, so the ChannelParams scaling rule holds."""
     g1, g2, nb1, nb2 = ch.gamma1, ch.gamma2, ch.nb1, ch.nb2
-    g12 = g1 + g2
+    c, g12 = (1.0, g1 + g2) if g1 + g2 < math.inf else (2.0, 0.5 * g1 + 0.5 * g2)
     exp = math.exp
 
     def at(t: float) -> tuple:
         if t == 0.0:
-            return 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5
+            return 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0
         x1 = 2.0 * (g1 * t)
         x2 = 2.0 * (g2 * t)
         k1 = o1 = k2 = o2 = 0.0
@@ -106,7 +110,7 @@ def _decay(ch: ChannelParams):
                 k2 = math.inf
             if not k2 < math.inf:
                 k2, o2 = -nb2, nb2
-        return exp(-x1), k1, o1, exp(-x2), k2, o2, 0.5 * exp(-g12 * t)
+        return exp(-x1), k1, o1, exp(-x2), k2, o2, exp(-(c * (g12 * t)))
 
     return at
 
@@ -172,22 +176,16 @@ def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMa
     """Propagate arbitrary covariance moments for a further time t.
 
     This is the semigroup form of the channel (n_i relaxes exponentially
-    toward nb_i, correlations decay); evolve(p0, ch, t) equals
+    toward nb_i, correlations decay) on e1, e2 and the cross factor
+    exp(-(gamma1 + gamma2) t) of :func:`_decay`, so it takes every finite
+    rate and the same scaling rule; evolve(p0, ch, t) equals
     evolve_cm(cm_from_params(p0), ch, t) up to rounding.
     """
     if not t >= 0:  # NaN fails it too
         raise ValueError(f"time must be >= 0, got {t}")
-    e1 = math.exp(-2.0 * ch.gamma1 * t)
-    e2 = math.exp(-2.0 * ch.gamma2 * t)
-    ec = math.exp(-(ch.gamma1 + ch.gamma2) * t)
-    return CovarianceMatrix(
-        n1=ch.nb1 + e1 * (cm.n1 - ch.nb1),
-        n2=ch.nb2 + e2 * (cm.n2 - ch.nb2),
-        m1=e1 * cm.m1,
-        m2=e2 * cm.m2,
-        ms=ec * cm.ms,
-        mc=ec * cm.mc,
-    )
+    e1, _, _, e2, _, _, ec = _decay(ch)(t)
+    return CovarianceMatrix(ch.nb1 + e1 * (cm.n1 - ch.nb1), ch.nb2 + e2 * (cm.n2 - ch.nb2),
+                            e1 * cm.m1, e2 * cm.m2, ec * cm.ms, ec * cm.mc)
 
 
 def symmetric_initial_moments(r0: float, nu0: float = 0.0) -> tuple[float, float]:
@@ -200,8 +198,8 @@ def symmetric_initial_moments(r0: float, nu0: float = 0.0) -> tuple[float, float
 
 def evolve_symmetric(n0: float, m0: float, gamma: float, t: float) -> tuple[float, float]:
     """Symmetric zero-temperature case: both surviving moments scale by
-    exp(-2 gamma t)."""
-    decay = math.exp(-2.0 * gamma * t)
+    exp(-2 gamma t), the e1 of :func:`_decay` for ChannelParams.symmetric(gamma)."""
+    decay = _decay(ChannelParams.symmetric(gamma))(t)[0]
     return n0 * decay, m0 * decay
 
 

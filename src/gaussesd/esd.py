@@ -150,7 +150,7 @@ def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:
         return EsdResult(
             kind=EsdKind.FINITE_TIME,
             method=EsdMethod.ANALYTIC,
-            t_esd=-math.log(ratio) / (2.0 * gamma),
+            t_esd=-0.5 * math.log(ratio) / gamma,
             diagnostics={"decay_ratio": ratio},
         )
     return EsdResult(
@@ -189,9 +189,10 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
 
     # halved before the sum, so that two rates near the float maximum give a
     # finite mean; the first point is then at least 1e-3 / 1.8e308, which is
-    # positive and far enough above 5e-324 that each step by 1.25 advances
+    # positive and far enough above 5e-324 that each step by 1.25 advances;
+    # two rates of 5e-324 halve to a mean of 0, and the scan starts at t_max
     gamma_mean = 0.5 * ch.gamma1 + 0.5 * ch.gamma2
-    t_lo, t = 0.0, min(1e-3 / gamma_mean, t_max)
+    t_lo, t = 0.0, min(1e-3 / gamma_mean if gamma_mean else math.inf, t_max)
     while (s := s_of(t)) < SIGN_TOL:
         if t >= t_max:  # the grid ends at t_max exactly
             return EsdResult(

@@ -229,16 +229,17 @@ def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tupl
 
 
 def _combine(terms, decay) -> tuple:
-    """(n1, n2, m1, m2, ms, mc) from per-state terms and the channel's decay
-    factors (e1, k1, o1, e2, k2, o2, h); elementwise, so (S, 1) terms and (T,)
+    """(n1, n2, m1, m2, ms, mc) from per-state terms and the decay factors
+    (e1, k1, o1, e2, k2, o2, ec) of channel._decay, whose last is the cross
+    factor exp(-(gamma1 + gamma2) t); elementwise, so (S, 1) terms and (T,)
     factors give (S, T) moments.  The grouping of every sum and product is
     fixed, so scalar and array callers get the same bits."""
     a1, b1, a2, b2, y1, c1, s1, y2, c2, s2, psum, cz, sz, s2r = terms
-    e1, k1, o1, e2, k2, o2, h = decay
+    e1, k1, o1, e2, k2, o2, ec = decay
     return (
         e1 * ((k1 + a1) + b1) + o1, e2 * ((k2 + a2) + b2) + o2,
         -e1 * y1 * c1 * s1, -e2 * y2 * c2 * s2,
-        -h * psum * s2r * sz, h * psum * cz * s2r,
+        -0.5 * ec * psum * s2r * sz, 0.5 * ec * psum * cz * s2r,
     )
 
 
@@ -246,7 +247,7 @@ def cm_from_params(p: GaussianParams) -> CovarianceMatrix:
     """Forward map from state parameters to the six second moments: the
     closed form of the channel at t = 0."""
     terms = _param_terms(p.z1, p.z2, p.r, p.nu1, p.nu2)
-    return CovarianceMatrix(*_combine(terms, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5)))
+    return CovarianceMatrix(*_combine(terms, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))
 
 
 def _locally_squeezed_raw(n1, n2, m1, m2, ms, mc, s1, s2):

@@ -23,24 +23,7 @@ from gaussesd import (
     simon_grid,
     symmetric_initial_moments,
 )
-from conftest import MOMENT_FIELDS, moment_diff
-
-
-def random_setup(rng):
-    p = GaussianParams(
-        z1=rng.uniform(-1.5, 1.5),
-        z2=rng.uniform(-1.5, 1.5),
-        r=rng.uniform(0.0, 1.5),
-        nu1=rng.uniform(0.0, 2.0),
-        nu2=rng.uniform(0.0, 2.0),
-    )
-    ch = ChannelParams(
-        gamma1=rng.uniform(0.05, 0.6),
-        gamma2=rng.uniform(0.05, 0.6),
-        nb1=rng.uniform(0.0, 1.0),
-        nb2=rng.uniform(0.0, 1.0),
-    )
-    return p, ch
+from conftest import MOMENT_FIELDS, moment_diff, normal, random_setup, rescaled, scale_exponents
 
 
 def literal_occupation(gamma, nb, t, x):
@@ -360,6 +343,55 @@ class TestLongTimes:
         assert max(abs(cm.m1), abs(cm.m2), abs(cm.ms), abs(cm.mc)) < 1e-100
         grid = simon_grid([GaussianParams(0.4, -0.2, 0.8, 0.5, 0.1)], ch, [gamma_t])
         assert grid[0, 0] == simon_criterion(cm)
+
+
+class TestRateTimeScaling:
+    """Rates and times enter only as gamma t, so multiplying both rates by
+    2**k and dividing every time by 2**k keeps every bit wherever the scaled
+    times are normal, up to rates where 2 gamma or gamma1 + gamma2 overflow."""
+
+    def test_results_keep_their_bits(self, rng):
+        overflowed = {"2 gamma": 0, "gamma1 + gamma2": 0}
+        for _ in range(100):
+            p, ch = random_setup(rng)
+            times = [0.0, *rng.uniform(0.0, 5.0, 2).tolist(), float(rng.uniform(0.0, 300.0)),
+                     float(rng.uniform(720.0, 1500.0)) / (2.0 * ch.gamma1)]
+            cm = evolve(p, ch, float(rng.uniform(0.0, 5.0)))
+            n0, m0 = symmetric_initial_moments(p.r, p.nu1)
+            curve = simon_curve(p, ch)
+            want = {t: (evolve(p, ch, t), curve(t), evolve_cm(cm, ch, t),
+                               evolve_symmetric(n0, m0, ch.gamma1, t)) for t in times}
+            for k in scale_exponents(rng, ch):
+                fast = rescaled(ch, k)
+                overflowed["2 gamma"] += 2.0 * max(fast.gamma1, fast.gamma2) == math.inf
+                overflowed["gamma1 + gamma2"] += fast.gamma1 + fast.gamma2 == math.inf
+                kept = [t for t in want if t == 0.0 or normal(math.ldexp(t, -k))]
+                fast_curve = simon_curve(p, fast)
+                for t in kept:
+                    t_k = math.ldexp(t, -k)
+                    assert (evolve(p, fast, t_k), fast_curve(t_k), evolve_cm(cm, fast, t_k),
+                            evolve_symmetric(n0, m0, fast.gamma1, t_k)) == want[t], (p, ch, k, t)
+                assert (simon_grid([p], fast, [math.ldexp(t, -k) for t in kept]).tolist()
+                        == [[want[t][1] for t in kept]])
+        assert min(overflowed.values()) > 0, overflowed
+
+
+class TestRatesNearTheFloatMaximum:
+    P = GaussianParams(0.3, 0.2, 1.0, 0.1, 0.2)
+
+    def test_cross_factor_where_the_rate_sum_overflows(self):
+        # (gamma1 + gamma2) t is about 2e-3 although gamma1 + gamma2 overflows
+        mc = evolve(self.P, ChannelParams(1e308, 1e308), 1e-311).mc
+        twin = evolve(self.P, rescaled(ChannelParams(1e308, 1e308), -1000),
+                      math.ldexp(1e-311, 1000)).mc
+        assert mc == twin == 2.6530209278071464
+
+    def test_evolve_cm_is_the_identity_at_t_zero(self):
+        cm = cm_from_params(self.P)
+        assert evolve_cm(cm, ChannelParams(1e308, 0.1), 0.0) == cm
+
+    def test_evolve_symmetric_is_the_identity_at_t_zero(self):
+        assert evolve_symmetric(1.0, 0.5, 1e308, 0.0) == (1.0, 0.5)
 
 
 class TestSignCounting:

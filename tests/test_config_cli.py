@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from gaussesd import ChannelParams, ConfigError, GaussianParams, cli, evolve, fock, simon_criterion
+from gaussesd import (ChannelParams, ConfigError, GaussianParams, cli, evolve, fock, simon_criterion,
+                      t_esd_numeric)
 from gaussesd.cli import main
+from conftest import rescaled
 from gaussesd.config import (
     MAX_POINTS,
     OracleSpec,
@@ -376,6 +378,24 @@ class TestEsdCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "domain error: Simon value is not finite at t=0.0\n"
+
+    def test_rates_near_the_float_maximum_give_the_rescaled_root(self, tmp_path, capsys):
+        # gamma1 + gamma2 overflows; the root is its unit-rate twin's, rescaled
+        # (about 5.62e-309), inside the scan bracket, not 5e-312 from a cross
+        # factor of 0
+        cfg = tmp_path / "esd.cfg"
+        cfg.write_text("[state]\nz1 = 0.2\nz2 = 0.2\nr = 0.3\n"
+                       "[channel]\ngamma1 = 1e308\ngamma2 = 1e308\nnb1 = 0.1\nnb2 = 0.1\n")
+        assert main(["esd", "--config", str(cfg)]) == 0
+        fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert fields["kind"] == "FiniteTime"
+        p, ch = GaussianParams(0.2, 0.2, 0.3), ChannelParams(1e308, 1e308, 0.1, 0.1)
+        lo, hi = t_esd_numeric(p, ch, 30.0).diagnostics["bracket"]
+        twin = t_esd_numeric(p, rescaled(ch, -1000), math.ldexp(30.0, 1000))
+        assert lo < float(fields["t_esd_numeric"]) < hi
+        root = math.ldexp(twin.t_esd, -1000)
+        assert lo < root < hi
+        assert root == pytest.approx(5.62e-309, rel=1e-3)
 
     # the symmetric pure zero-temperature family of t_esd_analytic_symmetric
     # and each single departure from it

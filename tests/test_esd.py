@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gaussesd import (
     t_esd_analytic_symmetric,
     t_esd_numeric,
 )
+from conftest import normal, random_setup, rescaled, scale_exponents
 
 # z boundary at r0 = 1: cosh(2 z*) = e^2
 Z_STAR = 0.5 * math.acosh(math.exp(2.0))
@@ -229,6 +231,61 @@ class TestNumericRoot:
             EsdResult(kind=EsdKind.FINITE_TIME, method=EsdMethod.ANALYTIC, t_esd=None)
         with pytest.raises(ValueError):
             EsdResult(kind=EsdKind.ASYMPTOTIC, method=EsdMethod.ANALYTIC, t_esd=1.0)
+
+
+class TestRateTimeScaling:
+    """Rates and times enter only as gamma t: with both rates times 2**k and
+    t_max over 2**k, the analytic time scales by 2**-k and the numeric root
+    keeps its kind (and its scan, bit for bit, while the scan times are
+    normal); its bisection stops at the absolute TIME_TOL, so its t_esd does
+    not scale."""
+
+    def test_analytic_time_scales(self, rng):
+        kinds = Counter()
+        for _ in range(300):
+            _, ch = random_setup(rng)
+            z0, r0 = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.01, 1.5))
+            base = t_esd_analytic_symmetric(z0, r0, ch.gamma1)
+            kinds[base.kind] += 1
+            for k in scale_exponents(rng, ChannelParams.symmetric(ch.gamma1)):
+                res = t_esd_analytic_symmetric(z0, r0, math.ldexp(ch.gamma1, k))
+                assert res.kind is base.kind
+                if base.t_esd is not None:
+                    want = math.ldexp(base.t_esd, -k)
+                    # below the normal range ldexp rounds a second time
+                    assert res.t_esd == want if normal(want) else abs(res.t_esd - want) <= 5e-324
+        assert kinds[EsdKind.FINITE_TIME] > 0 and kinds[EsdKind.ASYMPTOTIC] > 0
+
+    def test_numeric_kind_and_scan_scale(self, rng):
+        kinds = Counter()
+        for _ in range(60):
+            p, ch = random_setup(rng)
+            t_max = float(np.exp(rng.uniform(math.log(0.05), math.log(60.0))))
+            base = t_esd_numeric(p, ch, t_max)
+            kinds[base.kind] += 1
+            for k in scale_exponents(rng, ch):
+                res = t_esd_numeric(p, rescaled(ch, k), math.ldexp(t_max, -k))
+                assert res.kind is base.kind, (p, ch, t_max, k)
+                if normal(math.ldexp(1e-3, -k)):  # every scan time is normal
+                    want = {key: tuple(math.ldexp(t, -k) for t in value) if key == "bracket"
+                            else math.ldexp(value, -k) if key == "t_max" else value
+                            for key, value in base.diagnostics.items()}
+                    assert res.diagnostics == want
+        assert len(kinds) == 3, kinds
+
+    def test_analytic_time_at_a_rate_near_the_float_maximum(self):
+        # 2 gamma overflows; -ln R / 2 is formed first, then divided by gamma
+        res = t_esd_analytic_symmetric(1.0, 0.5, 1e308)
+        twin = t_esd_analytic_symmetric(1.0, 0.5, math.ldexp(1e308, -1000))
+        assert res.kind is EsdKind.FINITE_TIME
+        assert abs(res.t_esd - math.ldexp(twin.t_esd, -1000)) <= 5e-324
+        assert res.t_esd == pytest.approx(3.77e-309, rel=1e-3)
+
+    def test_smallest_rates_scan_from_t_max(self):
+        # both rates halve to 0 in the mean rate, so the scan starts at t_max
+        res = t_esd_numeric(GaussianParams(0.3, 0.2, 1.0), ChannelParams(5e-324, 5e-324), 1.0)
+        assert res.kind is EsdKind.ASYMPTOTIC
+        assert res.diagnostics["t_max"] == 1.0
 
 
 @pytest.mark.parametrize("call, error, message", [
