@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import DomainError, InvalidGrid
 from .states import (
     CovarianceMatrix,
     GaussianParams,
@@ -52,9 +52,9 @@ class ChannelParams:
         for name in ("gamma1", "gamma2", "nb1", "nb2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not (self.gamma1 > 0 and self.gamma2 > 0):
-            raise ValueError(f"dissipation rates must be > 0, got {self.gamma1}, {self.gamma2}")
+            raise DomainError(f"dissipation rates must be > 0, got {self.gamma1}, {self.gamma2}")
         if self.nb1 < 0 or self.nb2 < 0:
-            raise ValueError(f"bath occupations must be >= 0, got {self.nb1}, {self.nb2}")
+            raise DomainError(f"bath occupations must be >= 0, got {self.nb1}, {self.nb2}")
 
     @classmethod
     def symmetric(cls, gamma: float, nb: float = 0.0) -> "ChannelParams":
@@ -123,7 +123,7 @@ def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     t -> infinity it converges to the bath moments (n_i = nb_i, m = 0).
     """
     if not t >= 0:  # NaN fails it too
-        raise ValueError(f"time must be >= 0, got {t}")
+        raise DomainError(f"time must be >= 0, got {t}")
     terms = _param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)
     return CovarianceMatrix(*_combine(terms, _decay(ch)(t)))
 
@@ -137,10 +137,10 @@ def simon_curve(p0: GaussianParams, ch: ChannelParams):
 
     def s_of(t: float) -> float:
         if not t >= 0:  # NaN fails it too
-            raise ValueError(f"time must be >= 0, got {t}")
+            raise DomainError(f"time must be >= 0, got {t}")
         s = simon_from_moments(*_combine(terms, decay(t)))
         if not math.isfinite(s):
-            raise ValueError(f"Simon value is not finite at t={t}")
+            raise DomainError(f"Simon value is not finite at t={t}")
         return s
 
     return s_of
@@ -151,17 +151,17 @@ def _evolve_grid(rows, ch: ChannelParams, times) -> tuple:
     time, as arrays of shape (len(rows), len(times)), bit for bit equal to
     :func:`evolve` and simon_criterion.  Each row holds one state's
     (z1, z2, r, nu1, nu2) as floats that GaussianParams would accept; the
-    caller has checked them.  Raises ValueError where S is not finite, which
+    caller has checked them.  Raises DomainError where S is not finite, which
     is how an overflow shows; numpy's warnings are silenced."""
     if not all(t >= 0 for t in times):  # NaN fails it too
-        raise ValueError("times must be >= 0")
+        raise DomainError("times must be >= 0")
     terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 14).T[:, :, None]
     factors = np.array(list(map(_decay(ch), times))).reshape(-1, 7).T
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _combine(terms, factors)
         s = simon_from_moments(*moments)
     if not np.isfinite(s).all():
-        raise ValueError("Simon value is not finite on the grid")
+        raise DomainError("Simon value is not finite on the grid")
     return moments, s
 
 
@@ -182,7 +182,7 @@ def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMa
     evolve_cm(cm_from_params(p0), ch, t) up to rounding.
     """
     if not t >= 0:  # NaN fails it too
-        raise ValueError(f"time must be >= 0, got {t}")
+        raise DomainError(f"time must be >= 0, got {t}")
     e1, _, _, e2, _, _, ec = _decay(ch)(t)
     return CovarianceMatrix(ch.nb1 + e1 * (cm.n1 - ch.nb1), ch.nb2 + e2 * (cm.n2 - ch.nb2),
                             e1 * cm.m1, e2 * cm.m2, ec * cm.ms, ec * cm.mc)
@@ -222,7 +222,7 @@ def sample_trajectory(
 ) -> Trajectory:
     """Evaluate the evolved covariance and Simon value on the uniform time
     grid of :func:`_uniform_times`.  Raises InvalidGrid for a grid it
-    refuses and ValueError where S is not finite."""
+    refuses and DomainError where S is not finite."""
     times = tuple(_uniform_times(t_max, n_points))
     moments, simon = _evolve_grid([(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)], ch, times)
     states = tuple(CovarianceMatrix(*row) for row in zip(*(m[0].tolist() for m in moments)))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: evolve, esd, sweep, oracle-check, dump-config.
-Exit codes: 0 ok, 2 config error, 3 physics-domain error, 4 oracle failure:
-any oracle gate (deviation >= 1e-3 or an errors.OracleError).
+Exit codes: 0 ok, 4 for an oracle deviation >= 1e-3, else the exit_code of the
+errors.GaussEsdError raised; any other exception is a fault: traceback, exit 1.
 All numeric output is rendered by config.format_value; identical
 configurations produce byte-identical output files.
 """
@@ -18,7 +18,7 @@ from . import fock
 from .channel import ChannelParams, _evolve_grid, _uniform_times, evolve, sample_trajectory
 from .config import (OutputSpec, RunConfig, dump_config, finite_float, format_value,
                      parse_config_file)
-from .errors import ConfigError, GaussEsdError, OracleError
+from .errors import ConfigError, GaussEsdError
 from .esd import initial_entanglement_threshold, simon_sign, t_esd_analytic_symmetric, t_esd_numeric
 from .states import CovarianceMatrix, GaussianParams
 
@@ -215,15 +215,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except OracleError as exc:
-        sys.stderr.write(f"oracle error: {exc}\n")
-        return 4
-    except (GaussEsdError, ValueError, OverflowError) as exc:
-        sys.stderr.write(f"domain error: {exc}\n")
-        return 3
+    except GaussEsdError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

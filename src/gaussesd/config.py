@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .states import GaussianParams, _require_finite
 
 __all__ = ["TimeGrid", "SweepSpec", "OutputSpec", "OracleSpec", "RunConfig",
@@ -173,7 +173,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                     raise ConfigError(f"[{section}] {f.name}: cannot parse {raw!r}: {exc}") from exc
         try:
             sections[section] = cls(**values) if default is None else replace(default, **values)
-        except ValueError as exc:  # _require_finite, GaussianParams and ChannelParams
+        except DomainError as exc:  # _require_finite, GaussianParams and ChannelParams
             raise ConfigError(f"{source}: {exc}") from exc
     return RunConfig(**sections)
 

@@ -6,7 +6,10 @@ __all__ = ["GaussEsdError", "NonPhysicalCM", "ExtractionOutOfDomain", "DomainErr
 
 
 class GaussEsdError(Exception):
-    """Base class for all gaussesd errors."""
+    """Base class of every refusal: cli.main prints ``label: message`` and
+    exits with ``exit_code``, 3 here and in every subclass but ConfigError (2)
+    and OracleError (4).  Any other exception is a fault: traceback, exit 1."""
+    exit_code, label = 3, "domain error"
 
 
 class NonPhysicalCM(GaussEsdError):
@@ -19,9 +22,9 @@ class ExtractionOutOfDomain(GaussEsdError):
     falls outside its domain beyond the clamping tolerance."""
 
 
-class DomainError(GaussEsdError):
-    """An analytic expression was evaluated outside its domain of validity
-    (a vanishing decay-ratio denominator)."""
+class DomainError(GaussEsdError, ValueError):
+    """A physics-domain refusal: an input out of range, or a result that
+    overflows or does not resolve.  Also a ValueError, for in-process callers."""
 
 
 class InvalidGrid(GaussEsdError):
@@ -38,6 +41,7 @@ class OracleError(GaussEsdError):
     a step's input that is not finite, a dense matrix with nonzero entries
     between the parity blocks of n1 + n2 (refused when the state is made), or
     one of the subclasses below."""
+    exit_code, label = 4, "oracle error"
 
 
 class CutoffInsufficient(OracleError):
@@ -58,3 +62,4 @@ class NonNegligibleImaginaryPart(OracleError):
 
 class ConfigError(GaussEsdError):
     """Run configuration failed to parse or validate."""
+    exit_code, label = 2, "config error"

@@ -87,18 +87,21 @@ class EsdResult:
 
     def __post_init__(self):
         if (self.kind is EsdKind.FINITE_TIME) != (self.t_esd is not None):
-            raise ValueError("t_esd must be present exactly when kind is FiniteTime")
-        if self.t_esd is not None and not self.t_esd > 0:
-            raise ValueError(f"t_esd must be > 0, got {self.t_esd}")
+            raise DomainError("t_esd must be present exactly when kind is FiniteTime")
+        if self.t_esd is not None and not 0 < self.t_esd < math.inf:
+            raise DomainError(f"t_esd must be > 0 and finite, got {self.t_esd}")
 
 
 def esd_condition_symmetric(z0: float, r0: float) -> bool:
     """True when a symmetric pure state (z1 = z2 = z0) in equal
     zero-temperature channels separates at a finite time:
-    0 < r0 < log(cosh(2 z0)) / 2."""
+    0 < r0 < log(cosh(2 z0)) / 2.  DomainError where cosh(2 z0) overflows."""
     if not r0 > 0:
-        raise ValueError(f"r0 must be > 0, got {r0}")
-    return r0 < 0.5 * math.log(math.cosh(2.0 * z0))
+        raise DomainError(f"r0 must be > 0, got {r0}")
+    try:
+        return r0 < 0.5 * math.log(math.cosh(2.0 * z0))
+    except OverflowError:
+        raise DomainError(f"cosh(2 z0) overflows at z0={z0}") from None
 
 
 def symmetric_esd_decay_ratio(z0: float, r0: float) -> float:
@@ -110,14 +113,20 @@ def symmetric_esd_decay_ratio(z0: float, r0: float) -> float:
     with eta = exp(2 r0), zeta = exp(2 z0).  A finite separation time exists
     exactly when R lies in (0, 1), which reproduces the condition
     r0 < log(cosh 2 z0)/2.  This form agrees with the numeric root of the
-    Simon value throughout its validity window.
+    Simon value throughout its validity window.  DomainError where a term
+    overflows or the denominator vanishes.
     """
-    eta = math.exp(2.0 * r0)
-    zeta = math.exp(2.0 * z0)
+    try:
+        eta, zeta = math.exp(2.0 * r0), math.exp(2.0 * z0)
+    except OverflowError:
+        eta = zeta = math.inf
+    num = eta * (1.0 + zeta * zeta - 2.0 * eta * zeta)
     den = eta - zeta - eta * eta * zeta + zeta * zeta * eta
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise DomainError(f"decay ratio overflows at z0={z0}, r0={r0}")
     if den == 0.0:
         raise DomainError(f"decay-ratio denominator vanishes at z0={z0}, r0={r0}")
-    return eta * (1.0 + zeta * zeta - 2.0 * eta * zeta) / den
+    return num / den
 
 
 def symmetric_esd_decay_ratio_alt(z0: float, r0: float) -> float:
@@ -142,22 +151,18 @@ def symmetric_esd_decay_ratio_alt(z0: float, r0: float) -> float:
 def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:
     """Closed-form separation time for the symmetric pure zero-temperature
     case.  Returns FiniteTime with t_esd = -ln(R)/(2 gamma) when the decay
-    ratio R lies in (0, 1), Asymptotic otherwise."""
+    ratio R lies in (0, 1), Asymptotic otherwise, and DomainError where R
+    has rounded out of (0, 1) although esd_condition_symmetric holds."""
     if not (r0 > 0 and gamma > 0):
-        raise ValueError(f"need r0 > 0 and gamma > 0, got r0={r0}, gamma={gamma}")
+        raise DomainError(f"need r0 > 0 and gamma > 0, got r0={r0}, gamma={gamma}")
     ratio = symmetric_esd_decay_ratio(z0, r0)
     if 0.0 < ratio < 1.0:
-        return EsdResult(
-            kind=EsdKind.FINITE_TIME,
-            method=EsdMethod.ANALYTIC,
-            t_esd=-0.5 * math.log(ratio) / gamma,
-            diagnostics={"decay_ratio": ratio},
-        )
-    return EsdResult(
-        kind=EsdKind.ASYMPTOTIC,
-        method=EsdMethod.ANALYTIC,
-        diagnostics={"decay_ratio": ratio},
-    )
+        kind, t_esd = EsdKind.FINITE_TIME, -0.5 * math.log(ratio) / gamma
+    elif esd_condition_symmetric(z0, r0):
+        raise DomainError(f"decay ratio {ratio} does not resolve t_esd at z0={z0}, r0={r0}")
+    else:
+        kind, t_esd = EsdKind.ASYMPTOTIC, None
+    return EsdResult(kind, EsdMethod.ANALYTIC, t_esd, diagnostics={"decay_ratio": ratio})
 
 
 def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdResult:
@@ -175,7 +180,7 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
     diagnostics.
     """
     if not t_max > 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+        raise DomainError(f"t_max must be > 0, got {t_max}")
 
     s_of = simon_curve(p0, ch)
 
@@ -237,7 +242,7 @@ def initial_entanglement_threshold(nu1: float, nu2: float) -> float:
     pure.
     """
     if not (0 <= nu1 < math.inf and 0 <= nu2 < math.inf):  # NaN fails it too
-        raise ValueError(f"occupations must be finite and >= 0, got {nu1}, {nu2}")
+        raise DomainError(f"occupations must be finite and >= 0, got {nu1}, {nu2}")
     x = math.sqrt(nu1) * math.sqrt(1.0 + nu1) / (0.5 + 0.5 * nu1 + 0.5 * nu2)
     return 0.5 * math.asinh(x * math.sqrt(nu2) * math.sqrt(1.0 + nu2))
 
@@ -250,7 +255,7 @@ def esd_boundary_sweep(r0: float, ch: ChannelParams, z_grid, t_grid) -> np.ndarr
     (entangled), +1 (separable) or 0 (inside the numerical dead band).  The
     inputs are checked once: InvalidGrid unless both grids are non-empty,
     1-d and strictly increasing, every z is finite and every t is >= 0;
-    ValueError unless r0 is finite.
+    DomainError unless r0 is finite.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -64,7 +64,7 @@ import numpy as np
 
 from .channel import ChannelParams
 from .config import MAX_CUTOFF
-from .errors import CutoffInsufficient, NonNegligibleImaginaryPart, OracleError, StepTooLarge
+from .errors import CutoffInsufficient, DomainError, NonNegligibleImaginaryPart, OracleError, StepTooLarge
 from .states import CovarianceMatrix, GaussianParams, _require_finite
 
 __all__ = ["FockDensityMatrix", "build_initial_state", "integrate", "moments", "chain",
@@ -124,11 +124,11 @@ class FockDensityMatrix:
 
     def __init__(self, cutoff: int, data):
         if cutoff < 2:
-            raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+            raise DomainError(f"cutoff must be >= 2, got {cutoff}")
         data = np.asarray(data)
         d = cutoff * cutoff
         if data.shape != (d, d):
-            raise ValueError(f"data must be {d}x{d} for cutoff {cutoff}")
+            raise DomainError(f"data must be {d}x{d} for cutoff {cutoff}")
         if np.iscomplexobj(data):
             if np.any(data.imag):
                 worst = np.max(np.abs(data.imag))
@@ -304,11 +304,11 @@ def build_initial_state(p: GaussianParams, cutoff: int,
     The largest temporary is one work array of two cutoff^4 float64 halves,
     the grid and a spare between which the products alternate and in which
     the takes keep theirs (traced peak 2.67 cutoff^4 float64 at cutoff 20).
-    Raises ValueError unless 2 <= cutoff <= MAX_CUTOFF, and
+    Raises DomainError unless 2 <= cutoff <= MAX_CUTOFF, and
     CutoffInsufficient when the tail population exceeds ``tail_tol``.
     """
     if not 2 <= cutoff <= MAX_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
+        raise DomainError(f"cutoff {cutoff} outside the supported range [2, {MAX_CUTOFF}]")
     n = cutoff
     a = _ladder(n)
     ada = a.T @ a.T - a @ a
@@ -568,7 +568,7 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     """
     t = _require_finite("time", t)
     if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+        raise DomainError(f"time must be >= 0, got {t}")
     # NaN and inf propagate through the sum; finite entries overflow it only
     # far beyond a density matrix's range
     total = float(np.sum(rho0._buf))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionOutOfDomain, NonPhysicalCM
+from .errors import DomainError, ExtractionOutOfDomain, NonPhysicalCM
 
 __all__ = [
     "GaussianParams",
@@ -43,7 +43,7 @@ CLAMP_TOL = 1e-9
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -62,7 +62,7 @@ class GaussianParams:
         for name in ("z1", "z2", "r", "nu1", "nu2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.nu1 < 0 or self.nu2 < 0:
-            raise ValueError(f"thermal occupations must be >= 0, got nu1={self.nu1}, nu2={self.nu2}")
+            raise DomainError(f"thermal occupations must be >= 0, got nu1={self.nu1}, nu2={self.nu2}")
 
     @classmethod
     def symmetric(cls, z0: float, r0: float, nu0: float = 0.0) -> "GaussianParams":
@@ -94,7 +94,7 @@ class CovarianceMatrix:
             value = getattr(self, name)
             if value < 0:
                 if value < -1e-12:
-                    raise ValueError(f"occupations must be >= 0, got {name}={value}")
+                    raise DomainError(f"occupations must be >= 0, got {name}={value}")
                 object.__setattr__(self, name, 0.0)
 
     def as_matrix(self) -> np.ndarray:
@@ -116,16 +116,22 @@ class CovarianceMatrix:
         i1, i2 >= 1/4, iv >= 1/16 and iv + 1/16 >= (i1 + i2 + 2 i3) / 4, each
         within tol times its scale: s1 = (n1 + 1/2 + |m1|)^2 for i1, s2 for
         i2 and s1 s2 for the last two, so that rounding of large moments
-        never rejects a physical state."""
-        s1 = (self.n1 + 0.5 + abs(self.m1)) ** 2
-        s2 = (self.n2 + 0.5 + abs(self.m2)) ** 2
+        never rejects a physical state.  DomainError where the moments are too
+        large to test: s1 or s2 overflows, or the last test is inf - inf."""
         inv = invariants(self)
+        last = inv.iv + 0.0625 - 0.25 * (inv.i1 + inv.i2 + 2.0 * inv.i3)
+        try:
+            s1, s2 = (self.n1 + 0.5 + abs(self.m1)) ** 2, (self.n2 + 0.5 + abs(self.m2)) ** 2
+        except OverflowError:
+            last = math.nan
+        if math.isnan(last):
+            raise DomainError(f"moments too large to test for physicality: n1={self.n1}, n2={self.n2}")
         return (
             inv.i1 >= 0.25 - tol * s1
             and inv.i2 >= 0.25 - tol * s2
             and float(np.linalg.eigvalsh(self.as_matrix()).min()) >= -tol
             and inv.iv >= 0.0625 - tol * s1 * s2
-            and inv.iv + 0.0625 - 0.25 * (inv.i1 + inv.i2 + 2.0 * inv.i3) >= -tol * s1 * s2
+            and last >= -tol * s1 * s2
         )
 
 
@@ -211,7 +217,7 @@ def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tupl
     """Per-state factors of the closed-form moments, grouped by moment
     (math.cosh/sinh, so that every caller gets the same bits).  The five
     floats are those of a valid GaussianParams; they are not checked here.
-    Where a factor overflows, the OverflowError names z1, z2 and r."""
+    Where a factor overflows, the DomainError names z1, z2 and r."""
     try:
         chr2 = math.cosh(r) ** 2
         shr2 = math.sinh(r) ** 2
@@ -225,7 +231,7 @@ def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tupl
             psum, math.cosh(z1 + z2), math.sinh(z1 + z2), math.sinh(2.0 * r),
         )
     except OverflowError:
-        raise OverflowError(f"closed-form moments overflow at z1={z1}, z2={z2}, r={r}") from None
+        raise DomainError(f"closed-form moments overflow at z1={z1}, z2={z2}, r={r}") from None
 
 
 def _combine(terms, decay) -> tuple:

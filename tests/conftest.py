@@ -4,8 +4,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gaussesd import ChannelParams, CovarianceMatrix, GaussianParams
+
+# every @given test draws the same examples on every run and keeps no example
+# database, so two runs of the suite are comparable test for test
+settings.register_profile("gaussesd", derandomize=True, database=None)
+settings.load_profile("gaussesd")
 
 MOMENT_FIELDS = tuple(f.name for f in fields(CovarianceMatrix))
 PARAM_FIELDS = tuple(f.name for f in fields(GaussianParams))

@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from gaussesd import (ChannelParams, ConfigError, GaussianParams, cli, evolve, fock, simon_criterion,
-                      t_esd_numeric)
+from gaussesd import (ChannelParams, ConfigError, GaussianParams, cli, errors, evolve, fock,
+                      simon_criterion, t_esd_numeric)
 from gaussesd.cli import main
 from conftest import rescaled
 from gaussesd.config import (
@@ -427,6 +432,18 @@ class TestEsdCommand:
         assert f"kind_analytic: {kind or 'not-applicable'}\n" in out
         assert ("t_esd_analytic:" in out) == (kind == "FiniteTime")
 
+    def test_unresolved_decay_ratio_is_a_domain_error(self, tmp_path, capsys):
+        # 0 < r0 < log(cosh 2 z0)/2 holds, but R rounds to 1: a named
+        # refusal, not kind_analytic Asymptotic
+        cfg = tmp_path / "esd.cfg"
+        cfg.write_text("[state]\nz1 = 17.2\nz2 = 17.2\nr = 0.01\n"
+                       "[channel]\ngamma1 = 0.1\ngamma2 = 0.1\n")
+        assert main(["esd", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("domain error: decay ratio 1.0 does not resolve t_esd at z0=17.2, "
+                                "r0=0.01\n")
+
     def test_initially_separable_reports_threshold(self, tmp_path, capsys):
         cfg = tmp_path / "esd.cfg"
         cfg.write_text("[state]\nr = 0.3\nnu1 = 1\nnu2 = 1\n")
@@ -681,6 +698,160 @@ class TestDumpConfigCommand:
         cfg.write_text("[state]\nz1 = -0\nr = -0.0\n")
         assert main(["dump-config", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.startswith("[state]\nz1 = 0\nz2 = 0\nr = 0\n")
+
+
+FLOAT_MAX = sys.float_info.max
+REFUSAL = re.compile(r"(config|domain) error: \S.*\n")
+NON_FINITE = re.compile(r"(?<![A-Za-z_])(nan|inf)(?![A-Za-z_])")
+
+
+SQUEEZING = st.floats(-20.0, 20.0)
+OCCUPATION = st.floats(0.0, 1e40)
+RATE = st.floats(5e-324, FLOAT_MAX)
+# README's answering region, key by key ...
+INSIDE = {"z1": SQUEEZING, "z2": SQUEEZING, "r": SQUEEZING, "nu1": OCCUPATION,
+          "nu2": OCCUPATION, "gamma1": RATE, "gamma2": RATE, "nb1": OCCUPATION,
+          "nb2": OCCUPATION, "t_max": st.floats(1e-300, 1e40), "n_points": st.integers(2, 6),
+          "steps": st.integers(2, 5)}
+SWEPT = {"z0": SQUEEZING, "r0": SQUEEZING, "nu": OCCUPATION, "t": st.floats(0.0, 1e300)}
+# ... and just outside it: past the region's bounds, or outside the domain
+TOO_SQUEEZED = st.floats(20.0, 400.0) | st.floats(-400.0, -20.0)
+TOO_HOT = st.floats(1e40, 1e160) | st.floats(-1.0, -1e-300)
+OUTSIDE = {"z1": TOO_SQUEEZED, "z2": TOO_SQUEEZED, "r": TOO_SQUEEZED, "nu1": TOO_HOT,
+           "nu2": TOO_HOT, "gamma1": st.sampled_from([0.0, -1.0]),
+           "gamma2": st.sampled_from([0.0, -1.0]), "nb1": TOO_HOT, "nb2": TOO_HOT,
+           "t_max": st.floats(1e40, FLOAT_MAX) | st.sampled_from([0.0, 5e-324, 1e-310, -1.0]),
+           "n_points": st.just(1), "steps": st.just(1),
+           "sweep": st.tuples(*[st.floats(-400.0, 400.0) | st.floats(0.0, FLOAT_MAX)] * 2)}
+
+
+@st.composite
+def run_configs(draw):
+    """Every key of [state], [channel], [time] and [sweep], drawn from the
+    answering region; a third of the draws are in the symmetric pure
+    zero-temperature family, where `esd` also prints the analytic ESD time;
+    and in a third of the draws one key, or the swept range, is drawn from
+    just outside."""
+    c = {key: draw(strategy) for key, strategy in INSIDE.items()}
+    if draw(st.integers(0, 2)) == 0:
+        c.update(z1=draw(st.floats(-10.0, 10.0)), r=draw(st.floats(0.01, 20.0)),
+                 gamma1=draw(st.floats(1e-300, FLOAT_MAX)), nu1=0.0, nu2=0.0, nb1=0.0, nb2=0.0)
+        c.update(z2=c["z1"], gamma2=c["gamma1"])
+    c["variable"] = draw(st.sampled_from(sorted(SWEPT)))
+    c["lo"], c["hi"] = sorted(draw(st.tuples(SWEPT[c["variable"]], SWEPT[c["variable"]])))
+    if c["lo"] == c["hi"]:  # the simplest draws coincide; a degenerate range is outside
+        c["lo"], c["hi"] = 0.0, 1.0
+    outside = draw(st.sampled_from([None] * 4 + sorted(OUTSIDE)))
+    if outside == "sweep":
+        c["lo"], c["hi"] = draw(OUTSIDE[outside])
+    elif outside:
+        c[outside] = draw(OUTSIDE[outside])
+    return c
+
+
+def _config_text(c) -> str:
+    sections = {"state": ("z1", "z2", "r", "nu1", "nu2"),
+                "channel": ("gamma1", "gamma2", "nb1", "nb2"),
+                "time": ("t_max", "n_points"), "sweep": ("variable", "lo", "hi", "steps")}
+    def text(value):  # floats in full, by repr
+        return value if isinstance(value, str) else repr(value)
+
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {text(c[key])}\n" for key in keys)
+                   for name, keys in sections.items())
+
+
+def _analytic_family(c) -> bool:
+    """The configs on which `esd` prints t_esd_analytic_symmetric's kind."""
+    return (c["z1"] == c["z2"] and c["nu1"] == c["nu2"] == 0.0 and c["gamma1"] == c["gamma2"]
+            and c["nb1"] == c["nb2"] == 0.0 and c["r"] > 0)
+
+
+def _answers(c, command) -> bool:
+    """README's sufficient region for exit 0 ("Where evolve, esd and sweep
+    answer")."""
+    lo, hi, swept = c["lo"], c["hi"], c["variable"]
+    inside = (all(abs(c[k]) <= 20.0 for k in ("z1", "z2", "r"))
+              and all(0.0 <= c[k] <= 1e40 for k in ("nu1", "nu2", "nb1", "nb2"))
+              and c["gamma1"] > 0 and c["gamma2"] > 0
+              and 1e-300 <= c["t_max"] <= 1e40 and c["n_points"] >= 2
+              # the [sweep] section is read by every command
+              and c["steps"] >= 2 and lo < hi and math.isfinite((hi - lo) * (c["steps"] - 1))
+              and (swept in ("z0", "r0") or lo >= 0))
+    if command == "sweep" and swept != "t":
+        limit = 1e40 if swept == "nu" else 20.0
+        inside = inside and -limit <= lo and hi <= limit
+    if command == "esd" and _analytic_family(c):
+        z0, r0 = abs(c["z1"]), c["r"]
+        inside = (inside and z0 <= 10.0 and r0 >= 0.01 and c["gamma1"] >= 1e-300
+                  and abs(z0 - r0) >= 0.01
+                  and abs(r0 - 0.5 * math.log(math.cosh(2.0 * z0))) >= 0.01)
+    return inside
+
+
+class TestRefusals:
+    """One refusal rule: every refusal is a GaussEsdError, whose class gives
+    the exit code and label that main reports, and nothing else is caught."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=run_configs())
+    def test_commands_answer_or_refuse_by_name(self, tmp_path_factory, c):
+        path = tmp_path_factory.getbasetemp() / "refusals.cfg"
+        path.write_text(_config_text(c))
+        argv = ["--config", str(path)]
+        for command in ("evolve", "esd", "sweep"):
+            args, out = cli.build_parser().parse_args([command, *argv]), io.StringIO()
+            try:  # any exception but a GaussEsdError is a fault and fails here
+                with contextlib.redirect_stdout(out):
+                    code = args.func(args)
+            except errors.GaussEsdError:
+                # a refusal: main maps it to 2 or 3 and names it on stderr
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, *argv])
+                err = err.getvalue()
+                assert code in (2, 3) and out.getvalue() == "" and REFUSAL.fullmatch(err), err
+                assert err.startswith({2: "config", 3: "domain"}[code]), (command, err)
+            else:
+                assert code == 0 and not NON_FINITE.search(out.getvalue()), (command, out)
+            inside = _answers(c, command)
+            family = " (analytic family)" if command == "esd" and _analytic_family(c) else ""
+            event(f"{command}{family}: exit {code}, {'inside' if inside else 'outside'} the region")
+            if inside:
+                assert code == 0, command
+
+    def test_a_fault_propagates_out_of_main(self, monkeypatch):
+        def broken(args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "cmd_evolve", broken)
+        with pytest.raises(ValueError, match="^boom$"):
+            main(["evolve"])
+
+    @pytest.mark.parametrize("cls, code, label", [
+        (errors.ConfigError, 2, "config error"),
+        (errors.OracleError, 4, "oracle error"),
+        (errors.CutoffInsufficient, 4, "oracle error"),
+        (errors.GaussEsdError, 3, "domain error"),
+        (errors.DomainError, 3, "domain error"),
+        (errors.InvalidGrid, 3, "domain error"),
+        (errors.BudgetExceeded, 3, "domain error"),
+        (errors.NonPhysicalCM, 3, "domain error"),
+    ])
+    def test_each_class_carries_its_code_and_label(self, monkeypatch, capsys, cls, code, label):
+        def refuse(args):
+            raise cls("refused")
+
+        assert (cls.exit_code, cls.label) == (code, label)
+        monkeypatch.setattr(cli, "cmd_esd", refuse)
+        assert main(["esd"]) == code
+        assert capsys.readouterr().err == f"{label}: refused\n"
+
+    def test_domain_errors_stay_value_errors(self, capsys):
+        assert issubclass(errors.DomainError, ValueError)
+        with pytest.raises(SystemExit) as exc:  # argparse's type=finite_float
+            main(["esd", "--t-max", "nan"])
+        assert exc.value.code == 2
+        assert "argument --t-max: invalid finite_float value: 'nan'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

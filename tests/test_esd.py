@@ -105,6 +105,41 @@ class TestAnalyticTime:
         t2 = t_esd_analytic_symmetric(2.0, 1.0, 0.2).t_esd
         assert abs(t2 - 0.5 * t1) < 1e-15
 
+    def test_never_answers_against_the_condition(self):
+        # z0 = 0.1 i (i = 0 .. 3548) x r0 in {0.01, ..., 100}: from z0 ~ 17 the
+        # ratio rounds to 1 and from z0 ~ 127 it overflows, while
+        # 0 < r0 < log(cosh 2 z0)/2 holds; those are named refusals, as is
+        # the diagonal z0 = r0, and every answer agrees with the condition
+        outcomes = Counter()
+        for r0 in (0.01, 0.1, 1.0, 10.0, 100.0):
+            for i in range(3549):
+                z0 = 0.1 * i
+                try:
+                    res = t_esd_analytic_symmetric(z0, r0, 1.0)
+                except DomainError as exc:
+                    outcomes["diagonal" if "vanishes" in str(exc) else "refused"] += 1
+                    continue
+                agrees = (res.kind is EsdKind.FINITE_TIME) == esd_condition_symmetric(z0, r0)
+                outcomes["agrees" if agrees else "disagrees"] += 1
+        assert outcomes == {"agrees": 2023, "refused": 15718, "diagonal": 4}
+
+    def test_unresolved_ratio_is_refused_by_name(self):
+        with pytest.raises(DomainError, match=r"^decay ratio 1\.0 does not resolve t_esd at "
+                                              r"z0=17\.2, r0=0\.01$"):
+            t_esd_analytic_symmetric(17.2, 0.01, 1.0)
+
+    def test_overflow_is_refused_by_name(self):
+        for z0, r0 in ((200.0, 0.01), (400.0, 1.0), (1.0, 400.0)):
+            with pytest.raises(DomainError, match="^decay ratio overflows"):
+                t_esd_analytic_symmetric(z0, r0, 1.0)
+        with pytest.raises(DomainError, match=r"^cosh\(2 z0\) overflows at z0=400\.0$"):
+            esd_condition_symmetric(400.0, 1.0)
+
+    def test_time_beyond_the_float_maximum_is_refused(self):
+        # -ln(R) / (2 gamma) overflows for the smallest rate
+        with pytest.raises(DomainError, match="^t_esd must be > 0 and finite, got inf$"):
+            t_esd_analytic_symmetric(2.0, 1.0, 5e-324)
+
 
 class TestAlternativeForm:
     def test_disagrees_even_without_single_mode_squeezing(self):

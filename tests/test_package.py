@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import gaussesd
 from gaussesd import channel, errors, esd, fock, states
@@ -25,3 +27,18 @@ def test_star_import():
             "assert not missing, missing\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_raise_names_a_package_error():
+    # a refusal is a GaussEsdError subclass, so cli.main maps it to its exit
+    # code; a bare builtin raise would read as a fault
+    raised = []
+    for path in sorted(Path(gaussesd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.append((path.name, node.lineno, ast.unparse(node.exc.func)))
+    assert raised
+    wrong = [site for site in raised
+             if not (isinstance(cls := getattr(errors, site[2], None), type)
+                     and issubclass(cls, errors.GaussEsdError))]
+    assert not wrong, wrong

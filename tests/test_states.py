@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gaussesd import (
     ChannelParams,
     CovarianceMatrix,
+    DomainError,
     ExtractionOutOfDomain,
     GaussianParams,
     NonPhysicalCM,
@@ -142,6 +143,20 @@ class TestParameterExtraction:
         assert cm.is_physical()
         with pytest.raises(ExtractionOutOfDomain, match="r: arctanh argument -2.44"):
             states._params_from_cm_textbook(cm)
+
+    def test_thermal_state_too_large_to_test_is_refused(self):
+        # the thermal state z = r = 0, nu1 = nu2 = nu is physical at every nu;
+        # from nu = 1e154 is_physical's last test is inf - inf, from 1.4e154
+        # its scales overflow: a DomainError, never NonPhysicalCM or a bare
+        # OverflowError; below that the round trip keeps its bits
+        p = GaussianParams(0.0, 0.0, 0.0, 9e153, 9e153)
+        assert params_from_cm(cm_from_params(p)) == p
+        for nu in (1e154, 1.2e154, 1e160):
+            cm = cm_from_params(GaussianParams(0.0, 0.0, 0.0, nu, nu))
+            with pytest.raises(DomainError, match="moments too large to test for physicality"):
+                cm.is_physical()
+            with pytest.raises(DomainError, match="moments too large to test for physicality"):
+                params_from_cm(cm)
 
     def test_extraction_negative_occupation_rejected(self):
         # mc^2 = 1.44 > (n1 + 1) n2 = 0.3: unwinding the squeezers would leave
