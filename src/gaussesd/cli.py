@@ -16,8 +16,8 @@ from dataclasses import astuple, fields, replace
 
 from . import fock
 from .channel import ChannelParams, _evolve_grid, _uniform_times, evolve, sample_trajectory
-from .config import (OutputSpec, RunConfig, dump_config, finite_float, format_value,
-                     parse_config_file)
+from .config import (MAX_SWEEP_ROWS, OutputSpec, RunConfig, dump_config, finite_float,
+                     format_value, parse_config_file)
 from .errors import ConfigError, GaussEsdError
 from .esd import initial_entanglement_threshold, simon_sign, t_esd_analytic_symmetric, t_esd_numeric
 from .states import CovarianceMatrix, GaussianParams
@@ -26,9 +26,12 @@ from .states import CovarianceMatrix, GaussianParams
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"[output] path {path!r} cannot be written: {exc.strerror or exc}") from exc
 
 
 def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
@@ -98,6 +101,11 @@ def cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a [sweep] section in the config")
     sweep = cfg.sweep
+    per_step = {"nu": sweep.steps, "t": 1}.get(sweep.variable, cfg.time.n_points)
+    if sweep.steps * per_step > MAX_SWEEP_ROWS:
+        keys = "[sweep] steps" if sweep.variable == "nu" else "[sweep] steps and [time] n_points"
+        raise ConfigError(f"{keys} span {sweep.steps} x {per_step} rows for variable "
+                          f"{sweep.variable}, above {MAX_SWEEP_ROWS}")
     values = sweep.values()
 
     # (z1, z2, r, nu1, nu2) rows for _evolve_grid; SweepSpec has checked the swept values

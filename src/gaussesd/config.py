@@ -32,6 +32,12 @@ MAX_CUTOFF = 32
 # measured on 2 vCPUs); a t sweep a third of the time and half the memory.
 # The bound is checked before any grid is built or converted to float.
 MAX_POINTS = 100_000
+# Largest number of rows of a `sweep`: steps^2 for nu, steps * n_points for z0
+# and r0.  A nu row holds about 850 B and takes 5-9 us, a z0 or r0 row about
+# 350 B and 3.5-4.5 us (160 MB and 1.8 s, 65 MB and 0.9 s at this bound,
+# measured on 2 vCPUs).  It is twice MAX_POINTS, so that a z0 or r0 sweep of
+# two values still takes every n_points.  cmd_sweep checks it before any row.
+MAX_SWEEP_ROWS = 200_000
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ SIGN_TOL = 1e-12
 # Bisection of t_esd_numeric: absolute time tolerance and iteration cap.
 TIME_TOL = 1e-10
 MAX_ITER = 200
+# Regula-falsi steps of t_esd_numeric before its bisection.
+ILLINOIS_STEPS = 12
 
 
 def simon_sign(s):
@@ -165,6 +167,55 @@ def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:
     return EsdResult(kind, EsdMethod.ANALYTIC, t_esd, diagnostics={"decay_ratio": ratio})
 
 
+def _root(s_of, lo: float, hi: float, s_lo: float, s_hi: float) -> float:
+    """Midpoint of the bisection of S = s_of on the scan's bracket (lo, hi),
+    where S(lo) = s_lo < SIGN_TOL <= S(hi) = s_hi.
+
+    The bisection halves (lo, hi) towards S(mid) < 0 until it is narrower
+    than TIME_TOL or no float lies strictly inside it.  Before it, at most
+    ILLINOIS_STEPS steps of Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    168 (1971)) narrow a signed bracket (a, b): a only ever takes a point
+    where S < 0 was evaluated and b one where S >= 0 was, so lo and hi, which
+    carry no sign of their own, start it.  The bisection then evaluates S
+    only at midpoints that (a, b) leaves open.  So wherever the computed
+    sign of S changes once on (lo, hi), the result is the plain bisection's
+    bit for bit, from about a fifth of its evaluations of S.
+    """
+    a, fa, b, fb, kept = lo, s_lo, hi, s_hi, None
+    for _ in range(ILLINOIS_STEPS):
+        if b - a < TIME_TOL or math.nextafter(a, b) == b:
+            break
+        # the secant point, or the midpoint where it is not strictly inside:
+        # S(lo) may lie in [0, SIGN_TOL) and S may be 0.0 exactly
+        x = a - fa * (b - a) / (fb - fa) if fb - fa > 0.0 else a
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        if (fx := s_of(x)) < 0.0:
+            a, fa = x, fx
+            if kept == "b":  # b kept twice: halve its weight (Illinois)
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+
+    for _ in range(MAX_ITER):
+        if hi - lo < TIME_TOL or math.nextafter(lo, hi) == hi:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if lo < mid <= a:  # S(a) < 0 decides it
+            lo = mid
+        elif b <= mid < hi:  # S(b) >= 0 decides it
+            hi = mid
+        elif s_of(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise BudgetExceeded(f"bisection did not converge within {MAX_ITER} iterations")
+
+
 def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdResult:
     """Separation time by sign scan and bisection on the Simon value S(t).
 
@@ -175,9 +226,12 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
     inside it (late separation times, above about 2**19 = 5.2e5, where
     adjacent floats are more than TIME_TOL apart); t_esd is the bracket's
     midpoint.  BudgetExceeded is raised only if neither happens within
-    MAX_ITER halvings.  Without a sign change by t_max the decay is
-    classified Asymptotic, with t_max and S(t_max) recorded in the
-    diagnostics.
+    MAX_ITER halvings.  A regula-falsi phase first narrows the bracket, and
+    the bisection skips every midpoint whose sign it has decided, so t_esd
+    is the plain bisection's bit for bit wherever the computed sign of S
+    changes once on the scan's bracket (:func:`_root`).  Without a sign
+    change by t_max the decay is classified Asymptotic, with t_max and
+    S(t_max) recorded in the diagnostics.
     """
     if not t_max > 0:
         raise DomainError(f"t_max must be > 0, got {t_max}")
@@ -197,7 +251,7 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
     # positive and far enough above 5e-324 that each step by 1.25 advances;
     # two rates of 5e-324 halve to a mean of 0, and the scan starts at t_max
     gamma_mean = 0.5 * ch.gamma1 + 0.5 * ch.gamma2
-    t_lo, t = 0.0, min(1e-3 / gamma_mean if gamma_mean else math.inf, t_max)
+    t_lo, s_lo, t = 0.0, s0, min(1e-3 / gamma_mean if gamma_mean else math.inf, t_max)
     while (s := s_of(t)) < SIGN_TOL:
         if t >= t_max:  # the grid ends at t_max exactly
             return EsdResult(
@@ -205,24 +259,13 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
                 method=EsdMethod.NUMERIC_ROOT,
                 diagnostics={"t_max": t_max, "s_at_t_max": s},
             )
-        t_lo, t = t, min(t * 1.25, t_max)
+        t_lo, s_lo, t = t, s, min(t * 1.25, t_max)
 
-    lo, hi = bracket = (t_lo, t)
-    for _ in range(MAX_ITER):
-        if hi - lo < TIME_TOL or math.nextafter(lo, hi) == hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if s_of(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise BudgetExceeded(f"bisection did not converge within {MAX_ITER} iterations")
     return EsdResult(
         kind=EsdKind.FINITE_TIME,
         method=EsdMethod.NUMERIC_ROOT,
-        t_esd=0.5 * (lo + hi),
-        diagnostics={"bracket": bracket},
+        t_esd=_root(s_of, t_lo, t, s_lo, s),
+        diagnostics={"bracket": (t_lo, t)},
     )
 
 

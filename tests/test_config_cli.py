@@ -19,6 +19,7 @@ from gaussesd.cli import main
 from conftest import rescaled
 from gaussesd.config import (
     MAX_POINTS,
+    MAX_SWEEP_ROWS,
     OracleSpec,
     OutputSpec,
     RunConfig,
@@ -292,6 +293,26 @@ class TestEvolveCommand:
         bad.write_text("[state]\nz1 = spam\n")
         assert main(["evolve", "--config", str(bad)]) == 2
         assert main(["evolve", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "dump-config"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[sweep]\nvariable = t\nlo = 0\nhi = 1\nsteps = 3\n")
+        out = tmp_path / "missing" / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: [output] path {str(out)!r} cannot be written: "
+                                "No such file or directory\n")
+        assert not out.parent.exists()
+
+    def test_output_path_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[output]\npath = {tmp_path}\n")
+        assert main(["esd", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("kind: InitiallySeparable\n")  # the report came first
+        assert captured.err == (f"config error: [output] path {str(tmp_path)!r} cannot be "
+                                "written: Is a directory\n")
 
     def test_domain_error_exit_code(self, tmp_path):
         bad = tmp_path / "neg.cfg"
@@ -580,6 +601,45 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "domain error: Simon value is not finite on the grid\n"
+
+    @pytest.mark.parametrize("variable, time, keys, span", [
+        ("nu", "", "[sweep] steps", "100000 x 100000"),
+        ("z0", "[time]\nn_points = 100000\n", "[sweep] steps and [time] n_points",
+         "100000 x 100000"),
+        ("r0", "[time]\nn_points = 3\n", "[sweep] steps and [time] n_points", "100000 x 3"),
+    ])
+    def test_oversized_grid_is_refused_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                      variable, time, keys, span):
+        # up to 1e10 rows; neither the time grid nor a Simon value is computed
+        def unreachable(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "_uniform_times", unreachable)
+        monkeypatch.setattr(cli, "_evolve_grid", unreachable)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{time}[sweep]\nvariable = {variable}\nlo = 0\nhi = 1\nsteps = 100000\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"config error: {keys} span {span} rows for variable "
+                                           f"{variable}, above {MAX_SWEEP_ROWS}\n")
+
+    @pytest.mark.parametrize("variable, steps, rows", [
+        ("nu", 447, 447 * 447), ("z0", 2, 2 * MAX_POINTS), ("t", MAX_POINTS, MAX_POINTS)])
+    def test_largest_grids_are_in_bounds(self, tmp_path, monkeypatch, variable, steps, rows):
+        # a z0 sweep of two values takes every n_points, and a t sweep every
+        # step; the grid's size reaches _evolve_grid, which is not run here
+        class Built(Exception):
+            pass
+
+        def built(params, ch, times):
+            raise Built(len(params) * len(times))
+
+        monkeypatch.setattr(cli, "_evolve_grid", built)
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text(f"[time]\nn_points = {MAX_POINTS}\n"
+                       f"[sweep]\nvariable = {variable}\nlo = 0\nhi = 1\nsteps = {steps}\n")
+        with pytest.raises(Built) as size:
+            main(["sweep", "--config", str(cfg)])
+        assert size.value.args == (rows,) and rows <= MAX_SWEEP_ROWS
 
     def test_physics_domain_error_exit_code(self, tmp_path, capsys):
         # squeezing sweep into overflow territory is a domain error (3),

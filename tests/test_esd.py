@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussesd import (
     ChannelParams,
@@ -18,12 +20,14 @@ from gaussesd import (
     esd_condition_symmetric,
     initial_entanglement_threshold,
     simon_criterion,
+    simon_curve,
     simon_sign,
     symmetric_esd_decay_ratio,
     symmetric_esd_decay_ratio_alt,
     t_esd_analytic_symmetric,
     t_esd_numeric,
 )
+from gaussesd.esd import ILLINOIS_STEPS, MAX_ITER, SIGN_TOL, TIME_TOL, _root
 from conftest import normal, random_setup, rescaled, scale_exponents
 
 # z boundary at r0 = 1: cosh(2 z*) = e^2
@@ -321,6 +325,144 @@ class TestRateTimeScaling:
         res = t_esd_numeric(GaussianParams(0.3, 0.2, 1.0), ChannelParams(5e-324, 5e-324), 1.0)
         assert res.kind is EsdKind.ASYMPTOTIC
         assert res.diagnostics["t_max"] == 1.0
+
+
+def plain_bisection(s_of, lo, hi):
+    """t_esd_numeric's bisection without the regula-falsi phase: its
+    midpoint and the number of S evaluations it makes."""
+    calls = 0
+    for _ in range(MAX_ITER):
+        if hi - lo < TIME_TOL or math.nextafter(lo, hi) == hi:
+            break
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        lo, hi = (mid, hi) if s_of(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi), calls
+
+
+def plain_t_esd(p, ch, t_max):
+    """Kind and t_esd from the scan and plain bisection of t_esd_numeric
+    before its regula-falsi phase."""
+    s_of = simon_curve(p, ch)
+    if s_of(0.0) >= 0.0:
+        return EsdKind.INITIALLY_SEPARABLE, None
+    lo, t = 0.0, min(1e-3 / (0.5 * ch.gamma1 + 0.5 * ch.gamma2), t_max)
+    while s_of(t) < SIGN_TOL:
+        if t >= t_max:
+            return EsdKind.ASYMPTOTIC, None
+        lo, t = t, min(t * 1.25, t_max)
+    return EsdKind.FINITE_TIME, plain_bisection(s_of, lo, t)[0]
+
+
+def roots_like(rng):
+    """A query like the roots benchmark's: heated unequal channels or the
+    symmetric pure zero-temperature family, horizons gamma t_max in [1, 1e3]."""
+    horizon = math.exp(rng.uniform(0.0, math.log(1e3)))
+    g1, g2 = np.exp(rng.uniform(math.log(0.05), math.log(0.5), 2))
+    if rng.random() < 0.25:
+        p = GaussianParams.symmetric(float(rng.uniform(0.0, 2.5)), float(rng.uniform(0.05, 1.5)))
+        return p, ChannelParams.symmetric(float(g1)), horizon / g1
+    z1, z2 = rng.uniform(0.0, 2.5, 2)
+    nu1, nu2 = rng.uniform(0.0, 1.0, 2)
+    nb1, nb2 = rng.uniform(0.01, 1.0, 2)
+    p = GaussianParams(float(z1), float(z2), float(rng.uniform(0.05, 1.5)), float(nu1), float(nu2))
+    return p, ChannelParams(float(g1), float(g2), float(nb1), float(nb2)), horizon / (0.5 * (g1 + g2))
+
+
+# curves S(t) whose computed sign is negative below one point and >= 0 from
+# it on; d = t - tau and w the bracket's width
+SHAPES = {
+    "linear": lambda d, w: d,
+    "wiggly": lambda d, w: d * (2.0 + math.sin(40.0 * d / w)),
+    "convex": lambda d, w: math.expm1(8.0 * math.tanh(d / w)),
+    "concave": lambda d, w: -math.expm1(-8.0 * math.tanh(d / w)),
+    "steep": lambda d, w: math.tanh(1e6 * d / w),
+    "clamped": lambda d, w: max(d, 0.0),
+}
+
+
+@st.composite
+def one_crossing(draw):
+    """A scan bracket (lo, hi) and a curve with one sign change at tau <= hi:
+    tau anywhere inside, on either end, on the bracket's midpoint, or up to
+    SIGN_TOL / scale below lo, where S(lo) >= 0 is of the order of SIGN_TOL
+    (in [0, SIGN_TOL) for the linear curve)."""
+    lo = draw(st.sampled_from([0.0, 1e-3, 0.8, 3.0, 1e3, 6e5, 2.0**40]))
+    lo *= draw(st.floats(1.0, 1.25))
+    hi = lo + (lo or 1.0) * draw(st.sampled_from([1e-12, 1e-9, 1e-4, 0.25, 1.0]))
+    scale = 10.0 ** draw(st.integers(-14, 12))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    where = draw(st.sampled_from(["inside", "lo", "hi", "mid", "below-lo"]))
+    if where == "inside":
+        tau = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    elif where == "mid":
+        tau = 0.5 * (lo + hi)
+    elif where == "below-lo":
+        tau = lo - draw(st.floats(0.0, 1.0)) * SIGN_TOL / scale
+    else:
+        tau = lo if where == "lo" else hi
+    w = hi - lo
+
+    def s_of(t):
+        return scale * SHAPES[shape](t - tau, w)
+
+    return s_of, lo, hi
+
+
+class TestRootBracket:
+    """t_esd_numeric's root is the plain bisection's midpoint, bit for bit,
+    wherever the computed sign of S changes once on the scan bracket."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_crossing())
+    def test_matches_plain_bisection(self, case):
+        s_of, lo, hi = case
+        assert _root(s_of, lo, hi, s_of(lo), s_of(hi)) == plain_bisection(s_of, lo, hi)[0]
+
+    def test_exact_zeros_on_both_ends(self):
+        # S(lo) = 0, and S = 0 at the first midpoint, so fb - fa = 0 after it
+        def s_of(t):
+            return max(t - 1.75, 0.0)
+
+        assert _root(s_of, 1.5, 2.0, 0.0, 0.25) == plain_bisection(s_of, 1.5, 2.0)[0]
+
+    def test_evaluates_a_fraction_of_the_bisection(self, rng):
+        ours, plain, finite = [], [], 0
+        for _ in range(400):
+            p, ch, t_max = roots_like(rng)
+            res = t_esd_numeric(p, ch, t_max)
+            if res.kind is not EsdKind.FINITE_TIME:
+                continue
+            finite += 1
+            (lo, hi), s_of = res.diagnostics["bracket"], simon_curve(p, ch)
+            calls = []
+            assert _root(lambda t: calls.append(t) or s_of(t), lo, hi,
+                         s_of(lo), s_of(hi)) == res.t_esd
+            ours.append(len(calls))
+            plain.append(plain_bisection(s_of, lo, hi)[1])
+            # the bisection never evaluates more midpoints than it would alone
+            assert ours[-1] <= ILLINOIS_STEPS + plain[-1]
+        assert finite > 250
+        # about 6 against 29.5 evaluations of S per FiniteTime query
+        assert np.mean(ours) < 8.0 < 25.0 < np.mean(plain)
+
+    def test_real_curves_keep_the_kind_and_the_root(self, rng):
+        kinds, moved = Counter(), 0
+        for i in range(300):
+            if i % 2:
+                p, ch = random_setup(rng)
+                t_max = float(rng.uniform(1.0, 60.0))
+            else:
+                p, ch, t_max = roots_like(rng)
+            res = t_esd_numeric(p, ch, t_max)
+            kind, t_esd = plain_t_esd(p, ch, t_max)
+            kinds[kind] += 1
+            assert res.kind is kind, (p, ch, t_max)
+            if t_esd is not None:
+                assert abs(res.t_esd - t_esd) <= 1e-6 * t_esd, (p, ch, t_max)
+                moved += res.t_esd != t_esd
+        assert kinds[EsdKind.FINITE_TIME] > 150 and len(kinds) == 3, kinds
+        assert moved <= 3
 
 
 @pytest.mark.parametrize("call, error, message", [
