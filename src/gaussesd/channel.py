@@ -78,39 +78,22 @@ class Trajectory:
 
 
 def _decay(ch: ChannelParams):
-    """t -> the decay factors (e1, k1, o1, e2, k2, o2, ec) of states._combine,
-    with the channel read once: the only code that exponentiates a rate times
-    a time.  e_i = exp(-2 gamma_i t) and ec = exp(-(gamma1 + gamma2) t).
-    Normally k_i = (exp(2 gamma_i t) - 1) nb_i and o_i = 0; where that
-    overflows, k_i = -nb_i and o_i = nb_i give the limit form
-    nb_i + e_i (X - nb_i); where nb_i = 0, k_i = 0.  Each gamma t is formed
-    before it is doubled, and (gamma1 + gamma2) t as 2 ((gamma1/2 + gamma2/2) t)
-    where the sum overflows, so the ChannelParams scaling rule holds."""
+    """t -> the decay factors (e1, h1, e2, h2, ec) of states._combine, with
+    the channel read once: the only code that exponentiates a rate times a
+    time.  e_i = exp(-2 gamma_i t), h_i = (1 - e_i) nb_i by expm1 and
+    ec = exp(-(gamma1 + gamma2) t); no exponent is positive, so e_i and ec
+    lie in [0, 1] and h_i in [0, nb_i] at every t >= 0, inf included.  Each
+    gamma t is formed before it is doubled, and (gamma1 + gamma2) t as
+    2 ((gamma1/2 + gamma2/2) t) where the sum overflows, so the
+    ChannelParams scaling rule holds."""
     g1, g2, nb1, nb2 = ch.gamma1, ch.gamma2, ch.nb1, ch.nb2
     c, g12 = (1.0, g1 + g2) if g1 + g2 < math.inf else (2.0, 0.5 * g1 + 0.5 * g2)
-    exp = math.exp
+    exp, expm1 = math.exp, math.expm1
 
     def at(t: float) -> tuple:
-        if t == 0.0:
-            return 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0
-        x1 = 2.0 * (g1 * t)
-        x2 = 2.0 * (g2 * t)
-        k1 = o1 = k2 = o2 = 0.0
-        if nb1:
-            try:
-                k1 = (exp(x1) - 1.0) * nb1
-            except OverflowError:
-                k1 = math.inf
-            if not k1 < math.inf:
-                k1, o1 = -nb1, nb1
-        if nb2:
-            try:
-                k2 = (exp(x2) - 1.0) * nb2
-            except OverflowError:
-                k2 = math.inf
-            if not k2 < math.inf:
-                k2, o2 = -nb2, nb2
-        return exp(-x1), k1, o1, exp(-x2), k2, o2, exp(-(c * (g12 * t)))
+        x1 = -2.0 * (g1 * t)
+        x2 = -2.0 * (g2 * t)
+        return exp(x1), -expm1(x1) * nb1, exp(x2), -expm1(x2) * nb2, exp(-(c * (g12 * t)))
 
     return at
 
@@ -155,8 +138,8 @@ def _evolve_grid(rows, ch: ChannelParams, times) -> tuple:
     is how an overflow shows; numpy's warnings are silenced."""
     if not all(t >= 0 for t in times):  # NaN fails it too
         raise DomainError("times must be >= 0")
-    terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 14).T[:, :, None]
-    factors = np.array(list(map(_decay(ch), times))).reshape(-1, 7).T
+    terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 12).T[:, :, None]
+    factors = np.array(list(map(_decay(ch), times))).reshape(-1, 5).T
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _combine(terms, factors)
         s = simon_from_moments(*moments)
@@ -183,7 +166,7 @@ def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMa
     """
     if not t >= 0:  # NaN fails it too
         raise DomainError(f"time must be >= 0, got {t}")
-    e1, _, _, e2, _, _, ec = _decay(ch)(t)
+    e1, _, e2, _, ec = _decay(ch)(t)
     return CovarianceMatrix(ch.nb1 + e1 * (cm.n1 - ch.nb1), ch.nb2 + e2 * (cm.n2 - ch.nb2),
                             e1 * cm.m1, e2 * cm.m2, ec * cm.ms, ec * cm.mc)
 
@@ -199,6 +182,8 @@ def symmetric_initial_moments(r0: float, nu0: float = 0.0) -> tuple[float, float
 def evolve_symmetric(n0: float, m0: float, gamma: float, t: float) -> tuple[float, float]:
     """Symmetric zero-temperature case: both surviving moments scale by
     exp(-2 gamma t), the e1 of :func:`_decay` for ChannelParams.symmetric(gamma)."""
+    if not t >= 0:  # NaN fails it too
+        raise DomainError(f"time must be >= 0, got {t}")
     decay = _decay(ChannelParams.symmetric(gamma))(t)[0]
     return n0 * decay, m0 * decay
 

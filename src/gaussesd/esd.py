@@ -152,19 +152,19 @@ def symmetric_esd_decay_ratio_alt(z0: float, r0: float) -> float:
 
 def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:
     """Closed-form separation time for the symmetric pure zero-temperature
-    case.  Returns FiniteTime with t_esd = -ln(R)/(2 gamma) when the decay
-    ratio R lies in (0, 1), Asymptotic otherwise, and DomainError where R
-    has rounded out of (0, 1) although esd_condition_symmetric holds."""
+    case.  Asymptotic where esd_condition_symmetric fails, with no decay
+    ratio formed; where it holds, FiniteTime with t_esd = -ln(R)/(2 gamma)
+    from the decay ratio R, and DomainError where R has rounded out of
+    (0, 1) or symmetric_esd_decay_ratio refuses."""
     if not (r0 > 0 and gamma > 0):
         raise DomainError(f"need r0 > 0 and gamma > 0, got r0={r0}, gamma={gamma}")
+    if not esd_condition_symmetric(z0, r0):
+        return EsdResult(EsdKind.ASYMPTOTIC, EsdMethod.ANALYTIC)
     ratio = symmetric_esd_decay_ratio(z0, r0)
-    if 0.0 < ratio < 1.0:
-        kind, t_esd = EsdKind.FINITE_TIME, -0.5 * math.log(ratio) / gamma
-    elif esd_condition_symmetric(z0, r0):
+    if not 0.0 < ratio < 1.0:
         raise DomainError(f"decay ratio {ratio} does not resolve t_esd at z0={z0}, r0={r0}")
-    else:
-        kind, t_esd = EsdKind.ASYMPTOTIC, None
-    return EsdResult(kind, EsdMethod.ANALYTIC, t_esd, diagnostics={"decay_ratio": ratio})
+    return EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, -0.5 * math.log(ratio) / gamma,
+                     diagnostics={"decay_ratio": ratio})
 
 
 def _root(s_of, lo: float, hi: float, s_lo: float, s_hi: float) -> float:

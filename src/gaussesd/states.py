@@ -214,18 +214,19 @@ def simon_criterion_no_squeezing(n1: float, n2: float, mc: float) -> float:
 
 
 def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tuple:
-    """Per-state factors of the closed-form moments, grouped by moment
-    (math.cosh/sinh, so that every caller gets the same bits).  The five
-    floats are those of a valid GaussianParams; they are not checked here.
-    Where a factor overflows, the DomainError names z1, z2 and r."""
+    """Per-state factors of the closed-form moments, grouped by moment, the
+    occupations n1, n2 at t = 0 first (math.cosh/sinh, so that every caller
+    gets the same bits).  The five floats are those of a valid GaussianParams;
+    they are not checked here.  Where a factor overflows, the DomainError
+    names z1, z2 and r."""
     try:
         chr2 = math.cosh(r) ** 2
         shr2 = math.sinh(r) ** 2
         psum = 1.0 + nu1 + nu2
         ch2r = math.cosh(2.0 * r)
         return (
-            math.cosh(2.0 * z1) * (nu1 * chr2 + (1.0 + nu2) * shr2), math.sinh(z1) ** 2,
-            math.cosh(2.0 * z2) * (nu2 * chr2 + (1.0 + nu1) * shr2), math.sinh(z2) ** 2,
+            math.cosh(2.0 * z1) * (nu1 * chr2 + (1.0 + nu2) * shr2) + math.sinh(z1) ** 2,
+            math.cosh(2.0 * z2) * (nu2 * chr2 + (1.0 + nu1) * shr2) + math.sinh(z2) ** 2,
             nu1 - nu2 + psum * ch2r, math.cosh(z1), math.sinh(z1),
             nu2 - nu1 + psum * ch2r, math.cosh(z2), math.sinh(z2),
             psum, math.cosh(z1 + z2), math.sinh(z1 + z2), math.sinh(2.0 * r),
@@ -236,14 +237,15 @@ def _param_terms(z1: float, z2: float, r: float, nu1: float, nu2: float) -> tupl
 
 def _combine(terms, decay) -> tuple:
     """(n1, n2, m1, m2, ms, mc) from per-state terms and the decay factors
-    (e1, k1, o1, e2, k2, o2, ec) of channel._decay, whose last is the cross
-    factor exp(-(gamma1 + gamma2) t); elementwise, so (S, 1) terms and (T,)
-    factors give (S, T) moments.  The grouping of every sum and product is
-    fixed, so scalar and array callers get the same bits."""
-    a1, b1, a2, b2, y1, c1, s1, y2, c2, s2, psum, cz, sz, s2r = terms
-    e1, k1, o1, e2, k2, o2, ec = decay
+    (e1, h1, e2, h2, ec) of channel._decay, whose last is the cross factor
+    exp(-(gamma1 + gamma2) t); elementwise, so (S, 1) terms and (T,) factors
+    give (S, T) moments.  Each occupation relaxes from its t = 0 value n0
+    toward the bath's as e n0 + (1 - e) nb.  The grouping of every sum and
+    product is fixed, so scalar and array callers get the same bits."""
+    n01, n02, y1, c1, s1, y2, c2, s2, psum, cz, sz, s2r = terms
+    e1, h1, e2, h2, ec = decay
     return (
-        e1 * ((k1 + a1) + b1) + o1, e2 * ((k2 + a2) + b2) + o2,
+        e1 * n01 + h1, e2 * n02 + h2,
         -e1 * y1 * c1 * s1, -e2 * y2 * c2 * s2,
         -0.5 * ec * psum * s2r * sz, 0.5 * ec * psum * cz * s2r,
     )
@@ -253,7 +255,7 @@ def cm_from_params(p: GaussianParams) -> CovarianceMatrix:
     """Forward map from state parameters to the six second moments: the
     closed form of the channel at t = 0."""
     terms = _param_terms(p.z1, p.z2, p.r, p.nu1, p.nu2)
-    return CovarianceMatrix(*_combine(terms, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))
+    return CovarianceMatrix(*_combine(terms, (1.0, 0.0, 1.0, 0.0, 1.0)))
 
 
 def _locally_squeezed_raw(n1, n2, m1, m2, ms, mc, s1, s2):

@@ -27,15 +27,11 @@ from conftest import MOMENT_FIELDS, moment_diff, normal, random_setup, rescaled,
 
 
 def literal_occupation(gamma, nb, t, x):
-    """n_i written out from the terms x = (a, b), X = a + b: e ((exp(2 gamma
-    t) - 1) nb + X), or, past 2 gamma t = 709.78 where exp(2 gamma t)
-    overflows a double, the limit form nb + e (X - nb) in the same grouping.
-    Callers keep 2 gamma t out of (700, 720): there, for nb > 1, the product
-    with nb overflows before the exponential does."""
+    """n_i written out from the terms x = (a, b): e (a + b) + (1 - e) nb,
+    the initial occupation relaxing toward the bath's, with
+    1 - e = -expm1(-2 gamma t) so that it keeps its digits at short times."""
     e = math.exp(-2.0 * gamma * t)
-    if 2.0 * gamma * t > 709.78:
-        return e * (-nb + x[0] + x[1]) + nb
-    return e * ((math.exp(2.0 * gamma * t) - 1.0) * nb + x[0] + x[1])
+    return e * (x[0] + x[1]) + -math.expm1(-2.0 * gamma * t) * nb
 
 
 def literal_closed_form(p, ch, t):
@@ -59,18 +55,18 @@ def literal_closed_form(p, ch, t):
 
 class TestEvolve:
     def test_matches_literal_closed_form_bitwise(self, rng):
-        # each draw holds t = 0, times in both branches of each mode (2 gamma
-        # t up to 360, and past the overflow at 720 to 1500 on one or both
-        # modes) and, on a quarter of the modes, nb = 0 exactly, which skips
-        # exp(2 gamma t); checked through evolve, simon_curve and simon_grid
+        # each draw holds t = 0, short and long times (2 gamma t up to 360,
+        # and from 720 to 1500, past 709.78 where exp(2 gamma t) would
+        # overflow a double, on one or both modes) and, on a quarter of the
+        # modes, nb = 0 exactly, where the occupation is e (a + b) + 0, the
+        # bits that the zero-temperature recipe digests pin; checked through
+        # evolve, simon_curve and simon_grid
         for _ in range(500):
             p, ch = random_setup(rng)
             nb1, nb2 = (3.0 * nb if rng.random() < 0.75 else 0.0 for nb in (ch.nb1, ch.nb2))
             ch = ChannelParams(ch.gamma1, ch.gamma2, nb1, nb2)
             late = rng.uniform(720.0, 1500.0) / (2.0 * rng.choice([ch.gamma1, ch.gamma2]))
-            times = [0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 300.0), late]
-            times = [float(t) for t in times
-                     if not any(700.0 < 2.0 * g * t < 720.0 for g in (ch.gamma1, ch.gamma2))]
+            times = [float(t) for t in (0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 300.0), late)]
             want = [literal_closed_form(p, ch, t) for t in times]
             assert [evolve(p, ch, t) for t in times] == want
             s_want = [simon_criterion(cm) for cm in want]
@@ -172,6 +168,11 @@ class TestSymmetricCase:
     def test_identity_at_t_zero(self):
         n0, m0 = symmetric_initial_moments(1.0)
         assert evolve_symmetric(n0, m0, 0.1, 0.0) == (n0, m0)
+
+    @pytest.mark.parametrize("t", [-5.0, math.nan])
+    def test_rejects_a_negative_or_nan_time(self, t):
+        with pytest.raises(ValueError, match=f"^time must be >= 0, got {t}$"):
+            evolve_symmetric(1.0, 0.5, 0.1, t)
 
     def test_initial_moments_tmsv(self):
         n0, m0 = symmetric_initial_moments(1.0, 0.0)
@@ -326,8 +327,10 @@ class TestOverflow:
 
 
 class TestLongTimes:
-    """exp(2 gamma t) overflows a double above 2 gamma t = 709.78; the
-    occupations then take the limit form nb + e (X - nb)."""
+    """Past 2 gamma t = 709.78, where exp(2 gamma t) would overflow a double:
+    every decay factor is e = exp(-2 gamma t), (1 - e) nb or the cross
+    factor, none of which can overflow, so the occupations relax to the bath
+    by the same formula at every time."""
 
     def test_tmsv_relaxes_to_the_bath_past_the_overflow(self):
         late = evolve(GaussianParams.tmsv(1.0), ChannelParams.symmetric(1.0, 0.1), 400.0)
@@ -335,7 +338,8 @@ class TestLongTimes:
 
     @pytest.mark.parametrize("gamma_t", [354.0, 354.6, 354.8, 354.9, 360.0, 1e6, math.inf])
     def test_occupation_continuous_across_the_overflow(self, gamma_t):
-        # nb = 2 also overflows the product (exp(2 gamma t) - 1) nb first
+        # gamma t from below to above 354.89, where exp(2 gamma t) would
+        # overflow a double
         ch = ChannelParams(1.0, 0.5, 2.0, 0.3)
         cm = evolve(GaussianParams(0.4, -0.2, 0.8, 0.5, 0.1), ch, gamma_t)
         assert cm.n1 == pytest.approx(2.0, abs=1e-12)
@@ -343,6 +347,28 @@ class TestLongTimes:
         assert max(abs(cm.m1), abs(cm.m2), abs(cm.ms), abs(cm.mc)) < 1e-100
         grid = simon_grid([GaussianParams(0.4, -0.2, 0.8, 0.5, 0.1)], ch, [gamma_t])
         assert grid[0, 0] == simon_criterion(cm)
+
+    def test_occupation_stays_between_its_start_and_the_bath(self, rng):
+        # n_i(t) = e n_i(0) + (1 - e) nb_i is a convex combination, so it lies
+        # between n_i(0) and nb_i up to rounding, from t = 0 through 2 gamma t
+        # = 1e4 on the slower mode and at t = inf; one mode in four has nb = 0
+        for _ in range(200):
+            p, ch = random_setup(rng)
+            nb1, nb2 = (4.0 * nb if rng.random() < 0.75 else 0.0 for nb in (ch.nb1, ch.nb2))
+            ch = ChannelParams(ch.gamma1, ch.gamma2, nb1, nb2)
+            slow = min(ch.gamma1, ch.gamma2)
+            times = [0.0, *(10.0 ** rng.uniform(-3.0, 4.0, 8) / (2.0 * slow)).tolist(), math.inf]
+            cm0, curve = cm_from_params(p), simon_curve(p, ch)
+            states = [evolve(p, ch, t) for t in times]
+            for n0, nb, n in ((cm0.n1, nb1, [cm.n1 for cm in states]),
+                              (cm0.n2, nb2, [cm.n2 for cm in states])):
+                tol = 4.0 * math.ulp(max(n0, nb))
+                assert all(min(n0, nb) - tol <= x <= max(n0, nb) + tol for x in n), (p, ch)
+            assert states[0] == cm0
+            assert states[-1] == CovarianceMatrix(nb1, nb2, 0.0, 0.0, 0.0, 0.0)
+            s = [simon_criterion(cm) for cm in states]
+            assert [curve(t) for t in times] == s
+            assert simon_grid([p], ch, times)[0].tolist() == s
 
 
 class TestRateTimeScaling:

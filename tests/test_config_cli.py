@@ -465,6 +465,17 @@ class TestEsdCommand:
         assert captured.err == ("domain error: decay ratio 1.0 does not resolve t_esd at z0=17.2, "
                                 "r0=0.01\n")
 
+    def test_barely_squeezed_vacuum_is_analytic_asymptotic(self, tmp_path, capsys):
+        # r = 1e-10: the decay ratio's denominator cancels to 0, but the
+        # paper's condition fails, so no ratio is formed; the numeric kind is
+        # not pinned (S0 rounds to 0 here)
+        cfg = tmp_path / "esd.cfg"
+        cfg.write_text("[state]\nr = 1e-10\n")
+        assert main(["esd", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert "kind_analytic: Asymptotic\n" in captured.out
+        assert "t_esd_analytic" not in captured.out and captured.err == ""
+
     def test_initially_separable_reports_threshold(self, tmp_path, capsys):
         cfg = tmp_path / "esd.cfg"
         cfg.write_text("[state]\nr = 0.3\nnu1 = 1\nnu2 = 1\n")
@@ -840,11 +851,12 @@ def _answers(c, command) -> bool:
     if command == "sweep" and swept != "t":
         limit = 1e40 if swept == "nu" else 20.0
         inside = inside and -limit <= lo and hi <= limit
-    if command == "esd" and _analytic_family(c):
+    if command == "esd" and _analytic_family(c) and inside:
+        # where the paper's condition fails, the analytic kind is Asymptotic
         z0, r0 = abs(c["z1"]), c["r"]
-        inside = (inside and z0 <= 10.0 and r0 >= 0.01 and c["gamma1"] >= 1e-300
-                  and abs(z0 - r0) >= 0.01
-                  and abs(r0 - 0.5 * math.log(math.cosh(2.0 * z0))) >= 0.01)
+        bound = 0.5 * math.log(math.cosh(2.0 * z0))
+        inside = r0 >= bound or (z0 <= 10.0 and r0 >= 0.01 and c["gamma1"] >= 1e-300
+                                 and bound - r0 >= 0.01)
     return inside
 
 

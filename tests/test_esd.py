@@ -80,9 +80,11 @@ class TestAnalyticTime:
             assert symmetric_esd_decay_ratio(z0, r0) == pytest.approx(compact, rel=1e-12)
 
     def test_no_squeezing_is_asymptotic(self):
+        # the condition fails, so no decay ratio is formed
         res = t_esd_analytic_symmetric(0.0, 1.0, 0.1)
         assert res.kind is EsdKind.ASYMPTOTIC
-        ratio = res.diagnostics["decay_ratio"]
+        assert res.t_esd is None and "decay_ratio" not in res.diagnostics
+        ratio = symmetric_esd_decay_ratio(0.0, 1.0)
         # R = 2 eta / (eta - 1) > 1 for all eta > 1
         assert ratio == pytest.approx(2 * math.e**2 / (math.e**2 - 1), rel=1e-12)
         assert ratio > 1.0
@@ -101,8 +103,14 @@ class TestAnalyticTime:
         assert symmetric_esd_decay_ratio(z0, bound - 1e-6) == pytest.approx(0.0, abs=1e-4)
 
     def test_denominator_vanishes_on_diagonal(self):
-        with pytest.raises(DomainError):
-            t_esd_analytic_symmetric(1.0, 1.0, 0.1)
+        # the ratio's denominator vanishes on z0 = r0 and, from cancellation,
+        # at r0 = 1e-10 by z0 = 0; the condition fails on both, so the
+        # analytic kind is Asymptotic there without the ratio
+        for z0, r0 in ((1.0, 1.0), (0.0, 1e-10)):
+            with pytest.raises(DomainError, match=f"^decay-ratio denominator vanishes at "
+                                                  f"z0={z0}, r0={r0}$"):
+                symmetric_esd_decay_ratio(z0, r0)
+            assert t_esd_analytic_symmetric(z0, r0, 0.1).kind is EsdKind.ASYMPTOTIC
 
     def test_scale_covariance_in_gamma(self):
         t1 = t_esd_analytic_symmetric(2.0, 1.0, 0.1).t_esd
@@ -112,20 +120,21 @@ class TestAnalyticTime:
     def test_never_answers_against_the_condition(self):
         # z0 = 0.1 i (i = 0 .. 3548) x r0 in {0.01, ..., 100}: from z0 ~ 17 the
         # ratio rounds to 1 and from z0 ~ 127 it overflows, while
-        # 0 < r0 < log(cosh 2 z0)/2 holds; those are named refusals, as is
-        # the diagonal z0 = r0, and every answer agrees with the condition
+        # 0 < r0 < log(cosh 2 z0)/2 holds; those are named refusals.  Where
+        # the condition fails, the diagonal z0 = r0 included, the answer is
+        # Asymptotic, and every answer agrees with the condition
         outcomes = Counter()
         for r0 in (0.01, 0.1, 1.0, 10.0, 100.0):
             for i in range(3549):
                 z0 = 0.1 * i
                 try:
                     res = t_esd_analytic_symmetric(z0, r0, 1.0)
-                except DomainError as exc:
-                    outcomes["diagonal" if "vanishes" in str(exc) else "refused"] += 1
+                except DomainError:
+                    outcomes["refused"] += 1
                     continue
                 agrees = (res.kind is EsdKind.FINITE_TIME) == esd_condition_symmetric(z0, r0)
                 outcomes["agrees" if agrees else "disagrees"] += 1
-        assert outcomes == {"agrees": 2023, "refused": 15718, "diagonal": 4}
+        assert outcomes == {"agrees": 2027, "refused": 15718}
 
     def test_unresolved_ratio_is_refused_by_name(self):
         with pytest.raises(DomainError, match=r"^decay ratio 1\.0 does not resolve t_esd at "
@@ -135,9 +144,16 @@ class TestAnalyticTime:
     def test_overflow_is_refused_by_name(self):
         for z0, r0 in ((200.0, 0.01), (400.0, 1.0), (1.0, 400.0)):
             with pytest.raises(DomainError, match="^decay ratio overflows"):
-                t_esd_analytic_symmetric(z0, r0, 1.0)
-        with pytest.raises(DomainError, match=r"^cosh\(2 z0\) overflows at z0=400\.0$"):
-            esd_condition_symmetric(400.0, 1.0)
+                symmetric_esd_decay_ratio(z0, r0)
+        # the condition holds at (200, 0.01), so the ratio is formed; it fails
+        # at (1, 400), so it is not; at z0 = 400 the condition itself overflows
+        with pytest.raises(DomainError, match=r"^decay ratio overflows at z0=200\.0, r0=0\.01$"):
+            t_esd_analytic_symmetric(200.0, 0.01, 1.0)
+        assert t_esd_analytic_symmetric(1.0, 400.0, 1.0).kind is EsdKind.ASYMPTOTIC
+        for call in (lambda: esd_condition_symmetric(400.0, 1.0),
+                     lambda: t_esd_analytic_symmetric(400.0, 1.0, 1.0)):
+            with pytest.raises(DomainError, match=r"^cosh\(2 z0\) overflows at z0=400\.0$"):
+                call()
 
     def test_time_beyond_the_float_maximum_is_refused(self):
         # -ln(R) / (2 gamma) overflows for the smallest rate
@@ -224,7 +240,8 @@ class TestNumericRoot:
         assert res.diagnostics["s_at_t_max"] == simon_criterion(evolve(p, ch, t_max)) < 0.0
 
     def test_scan_past_the_exp_overflow_is_asymptotic(self):
-        # the scan reaches 2 gamma t = 1000, where exp(2 gamma t) overflows
+        # the scan reaches 2 gamma t = 1000, past 709.78, where exp(2 gamma t)
+        # would overflow a double; the channel forms only exp(-2 gamma t)
         res = t_esd_numeric(GaussianParams.symmetric(0.0, 1.0), ChannelParams.symmetric(0.1), 5000.0)
         assert res.kind is EsdKind.ASYMPTOTIC
         assert res.diagnostics["s_at_t_max"] == 0.0
