@@ -47,6 +47,9 @@ TIME_TOL = 1e-10
 MAX_ITER = 200
 # Regula-falsi steps of t_esd_numeric before its bisection.
 ILLINOIS_STEPS = 12
+# Grid points per stride of t_esd_numeric's sign scan: S is evaluated at each
+# stride's last point first, and at the others only where that point decides.
+SCAN_STRIDE = 4
 
 
 def simon_sign(s):
@@ -97,13 +100,15 @@ class EsdResult:
 def esd_condition_symmetric(z0: float, r0: float) -> bool:
     """True when a symmetric pure state (z1 = z2 = z0) in equal
     zero-temperature channels separates at a finite time:
-    0 < r0 < log(cosh(2 z0)) / 2.  DomainError where cosh(2 z0) overflows."""
+    0 < r0 < log(cosh(2 z0)) / 2.  From |z0| = 355, before cosh(2 z0)
+    overflows (|z0| > 355.2378), the bound is formed as |z0| - log(2) / 2,
+    dropping the log1p(e^{-4|z0|}) / 2 of the identity, which is 0 in
+    double precision there; up to the overflow both forms round alike."""
     if not r0 > 0:
         raise DomainError(f"r0 must be > 0, got {r0}")
-    try:
+    if abs(z0) < 355.0:
         return r0 < 0.5 * math.log(math.cosh(2.0 * z0))
-    except OverflowError:
-        raise DomainError(f"cosh(2 z0) overflows at z0={z0}") from None
+    return r0 < abs(z0) - 0.5 * math.log(2.0)
 
 
 def symmetric_esd_decay_ratio(z0: float, r0: float) -> float:
@@ -219,19 +224,28 @@ def _root(s_of, lo: float, hi: float, s_lo: float, s_hi: float) -> float:
 def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdResult:
     """Separation time by sign scan and bisection on the Simon value S(t).
 
-    If S(0) >= 0 the state is InitiallySeparable.  Otherwise S is scanned on
-    a geometric grid (ratio 1.25, starting at 1e-3 over the mean rate, capped
-    at t_max) and the first sign change is bisected.  Bisection stops when
-    the bracket is narrower than TIME_TOL or when no float lies strictly
-    inside it (late separation times, above about 2**19 = 5.2e5, where
-    adjacent floats are more than TIME_TOL apart); t_esd is the bracket's
-    midpoint.  BudgetExceeded is raised only if neither happens within
-    MAX_ITER halvings.  A regula-falsi phase first narrows the bracket, and
-    the bisection skips every midpoint whose sign it has decided, so t_esd
-    is the plain bisection's bit for bit wherever the computed sign of S
-    changes once on the scan's bracket (:func:`_root`).  Without a sign
-    change by t_max the decay is classified Asymptotic, with t_max and
-    S(t_max) recorded in the diagnostics.
+    If S(0) >= 0 the state is InitiallySeparable.  Otherwise the scan looks
+    for the first point of a geometric grid (t0 = 1e-3 over the mean rate,
+    then min(1.25 t, t_max)) where S >= SIGN_TOL, and the bracket from the
+    grid point before it is bisected.  The scan is strided: S is evaluated
+    first at the last point of each stride of SCAN_STRIDE points, and only
+    the first stride whose end reaches SIGN_TOL is walked in order; where
+    none does by t_max, or S is not finite at a stride end, the whole grid
+    is walked in order.  No grid point is evaluated twice unless S refuses
+    there.  The kind is that of a scan of every point in order on every
+    input, and so are the bracket, t_esd and the diagnostics wherever the
+    computed sign of S against SIGN_TOL changes at most once along the grid
+    (in exact arithmetic it changes once: local channels never re-entangle).
+    Bisection stops when the bracket is narrower than TIME_TOL or when no
+    float lies strictly inside it (late separation times, above about
+    2**19 = 5.2e5, where adjacent floats are more than TIME_TOL apart);
+    t_esd is the bracket's midpoint.  BudgetExceeded is raised only if
+    neither happens within MAX_ITER halvings.  A regula-falsi phase first
+    narrows the bracket, and the bisection skips every midpoint whose sign
+    it has decided, so t_esd is the plain bisection's bit for bit wherever
+    the computed sign of S changes once on the scan's bracket
+    (:func:`_root`).  Without a sign change by t_max the decay is classified
+    Asymptotic, with t_max and S(t_max) recorded in the diagnostics.
     """
     if not t_max > 0:
         raise DomainError(f"t_max must be > 0, got {t_max}")
@@ -251,21 +265,39 @@ def t_esd_numeric(p0: GaussianParams, ch: ChannelParams, t_max: float) -> EsdRes
     # positive and far enough above 5e-324 that each step by 1.25 advances;
     # two rates of 5e-324 halve to a mean of 0, and the scan starts at t_max
     gamma_mean = 0.5 * ch.gamma1 + 0.5 * ch.gamma2
-    t_lo, s_lo, t = 0.0, s0, min(1e-3 / gamma_mean if gamma_mean else math.inf, t_max)
-    while (s := s_of(t)) < SIGN_TOL:
-        if t >= t_max:  # the grid ends at t_max exactly
-            return EsdResult(
-                kind=EsdKind.ASYMPTOTIC,
-                method=EsdMethod.NUMERIC_ROOT,
-                diagnostics={"t_max": t_max, "s_at_t_max": s},
-            )
-        t_lo, s_lo, t = t, s, min(t * 1.25, t_max)
+    grid, t = [], min(1e-3 / gamma_mean if gamma_mean else math.inf, t_max)
+    while t < t_max:
+        grid.append(t)
+        t *= 1.25
+    grid.append(min(t, t_max))  # the product itself where it equals t_max
 
+    n, start, s_at = len(grid), 0, [None] * len(grid)  # S where evaluated
+    for k in range(0, n, SCAN_STRIDE):
+        end = min(k + SCAN_STRIDE, n) - 1
+        try:
+            s = s_at[end] = s_of(grid[end])
+        except DomainError:  # walk the whole grid in order, which refuses here
+            break
+        if s >= SIGN_TOL:  # walk this stride in order
+            start = k
+            break
+
+    t_lo, s_lo = (grid[start - 1], s_at[start - 1]) if start else (0.0, s0)
+    for t, s in zip(grid[start:], s_at[start:]):
+        if s is None:
+            s = s_of(t)
+        if s >= SIGN_TOL:
+            return EsdResult(
+                kind=EsdKind.FINITE_TIME,
+                method=EsdMethod.NUMERIC_ROOT,
+                t_esd=_root(s_of, t_lo, t, s_lo, s),
+                diagnostics={"bracket": (t_lo, t)},
+            )
+        t_lo, s_lo = t, s
     return EsdResult(
-        kind=EsdKind.FINITE_TIME,
+        kind=EsdKind.ASYMPTOTIC,
         method=EsdMethod.NUMERIC_ROOT,
-        t_esd=_root(s_of, t_lo, t, s_lo, s),
-        diagnostics={"bracket": (t_lo, t)},
+        diagnostics={"t_max": t_max, "s_at_t_max": s},
     )
 
 

@@ -27,7 +27,8 @@ from gaussesd import (
     t_esd_analytic_symmetric,
     t_esd_numeric,
 )
-from gaussesd.esd import ILLINOIS_STEPS, MAX_ITER, SIGN_TOL, TIME_TOL, _root
+from gaussesd import esd
+from gaussesd.esd import ILLINOIS_STEPS, MAX_ITER, SCAN_STRIDE, SIGN_TOL, TIME_TOL, _root
 from conftest import normal, random_setup, rescaled, scale_exponents
 
 # z boundary at r0 = 1: cosh(2 z*) = e^2
@@ -145,15 +146,31 @@ class TestAnalyticTime:
         for z0, r0 in ((200.0, 0.01), (400.0, 1.0), (1.0, 400.0)):
             with pytest.raises(DomainError, match="^decay ratio overflows"):
                 symmetric_esd_decay_ratio(z0, r0)
-        # the condition holds at (200, 0.01), so the ratio is formed; it fails
-        # at (1, 400), so it is not; at z0 = 400 the condition itself overflows
+        # the condition holds at (200, 0.01) and (400, 1), so the ratio is
+        # formed; it fails at (1, 400), so it is not
         with pytest.raises(DomainError, match=r"^decay ratio overflows at z0=200\.0, r0=0\.01$"):
             t_esd_analytic_symmetric(200.0, 0.01, 1.0)
         assert t_esd_analytic_symmetric(1.0, 400.0, 1.0).kind is EsdKind.ASYMPTOTIC
-        for call in (lambda: esd_condition_symmetric(400.0, 1.0),
-                     lambda: t_esd_analytic_symmetric(400.0, 1.0, 1.0)):
-            with pytest.raises(DomainError, match=r"^cosh\(2 z0\) overflows at z0=400\.0$"):
-                call()
+        with pytest.raises(DomainError, match=r"^decay ratio overflows at z0=400\.0, r0=1\.0$"):
+            t_esd_analytic_symmetric(400.0, 1.0, 1.0)
+
+    def test_condition_past_the_cosh_overflow(self):
+        # cosh(2 z0) overflows above |z0| = 355.2378, and 2 z0 itself from
+        # 2**1023; the bound |z0| - log(2)/2 answers there, and equals the
+        # cosh form bit for bit below the overflow
+        for z0 in (355.3, 400.0, -400.0, 1e308):
+            boundary = abs(z0) - 0.5 * math.log(2.0)
+            assert esd_condition_symmetric(z0, 1.0)
+            assert not esd_condition_symmetric(z0, boundary)
+            assert t_esd_analytic_symmetric(z0, boundary, 1.0).kind is EsdKind.ASYMPTOTIC
+        assert t_esd_analytic_symmetric(355.3, 1000.0, 1.0).kind is EsdKind.ASYMPTOTIC
+        assert t_esd_analytic_symmetric(400.0, 1000.0, 1.0).kind is EsdKind.ASYMPTOTIC
+        for z0 in np.linspace(354.0, 355.2378, 201).tolist():
+            boundary = z0 - 0.5 * math.log(2.0)
+            assert boundary == 0.5 * math.log(math.cosh(2.0 * z0))
+            for z in (z0, -z0):
+                assert esd_condition_symmetric(z, math.nextafter(boundary, 0.0))
+                assert not esd_condition_symmetric(z, boundary)
 
     def test_time_beyond_the_float_maximum_is_refused(self):
         # -ln(R) / (2 gamma) overflows for the smallest rate
@@ -357,18 +374,51 @@ def plain_bisection(s_of, lo, hi):
     return 0.5 * (lo + hi), calls
 
 
-def plain_t_esd(p, ch, t_max):
-    """Kind and t_esd from the scan and plain bisection of t_esd_numeric
-    before its regula-falsi phase."""
-    s_of = simon_curve(p, ch)
+def scan_grid(ch, t_max):
+    """t_esd_numeric's scan times: t0 = min(1e-3 / gamma_mean, t_max), then
+    min(1.25 t, t_max) up to t_max."""
+    gamma_mean = 0.5 * ch.gamma1 + 0.5 * ch.gamma2
+    grid = [min(1e-3 / gamma_mean if gamma_mean else math.inf, t_max)]
+    while grid[-1] < t_max:
+        grid.append(min(grid[-1] * 1.25, t_max))
+    return grid
+
+
+def plain_t_esd(p, ch, t_max, s_of=None):
+    """Kind, t_esd and bracket from a scan of every grid point in order and
+    the plain bisection: t_esd_numeric before its strided scan and its
+    regula-falsi phase.  s_of replaces the curve S(t) of (p, ch)."""
+    s_of = s_of or simon_curve(p, ch)
     if s_of(0.0) >= 0.0:
-        return EsdKind.INITIALLY_SEPARABLE, None
-    lo, t = 0.0, min(1e-3 / (0.5 * ch.gamma1 + 0.5 * ch.gamma2), t_max)
-    while s_of(t) < SIGN_TOL:
-        if t >= t_max:
-            return EsdKind.ASYMPTOTIC, None
-        lo, t = t, min(t * 1.25, t_max)
-    return EsdKind.FINITE_TIME, plain_bisection(s_of, lo, t)[0]
+        return EsdKind.INITIALLY_SEPARABLE, None, None
+    lo = 0.0
+    for t in scan_grid(ch, t_max):
+        if s_of(t) >= SIGN_TOL:
+            return EsdKind.FINITE_TIME, plain_bisection(s_of, lo, t)[0], (lo, t)
+        lo = t
+    return EsdKind.ASYMPTOTIC, None, None
+
+
+def grid_flips(p, ch, t_max) -> int:
+    """How often the computed sign of S against SIGN_TOL changes along
+    S(0) and the whole scan grid."""
+    s_of = simon_curve(p, ch)
+    above = [s_of(t) >= SIGN_TOL for t in [0.0, *scan_grid(ch, t_max)]]
+    return sum(a != b for a, b in zip(above, above[1:]))
+
+
+def wide_z(rng):
+    """A query with |z| <= 10, rates log-uniform in [1e-3, 1e3], 30% of
+    channels at zero temperature and 30% of modes pure, gamma_mean t_max in
+    [1, 1e3]: S spans many orders of magnitude, and at large |z| its
+    computed sign can flicker from rounding."""
+    z1, z2 = rng.uniform(-10.0, 10.0, 2)
+    nu1, nu2 = (0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0)) for _ in range(2))
+    g1, g2 = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2))
+    nb1, nb2 = (0.0, 0.0) if rng.random() < 0.3 else rng.uniform(0.0, 2.0, 2)
+    p = GaussianParams(float(z1), float(z2), float(rng.uniform(0.0, 2.0)), nu1, nu2)
+    horizon = math.exp(rng.uniform(0.0, math.log(1e3)))
+    return p, ChannelParams(float(g1), float(g2), float(nb1), float(nb2)), horizon / (0.5 * (g1 + g2))
 
 
 def roots_like(rng):
@@ -472,7 +522,7 @@ class TestRootBracket:
             else:
                 p, ch, t_max = roots_like(rng)
             res = t_esd_numeric(p, ch, t_max)
-            kind, t_esd = plain_t_esd(p, ch, t_max)
+            kind, t_esd, _ = plain_t_esd(p, ch, t_max)
             kinds[kind] += 1
             assert res.kind is kind, (p, ch, t_max)
             if t_esd is not None:
@@ -480,6 +530,124 @@ class TestRootBracket:
                 moved += res.t_esd != t_esd
         assert kinds[EsdKind.FINITE_TIME] > 150 and len(kinds) == 3, kinds
         assert moved <= 3
+
+
+def counted(monkeypatch, curve=None):
+    """Every time at which t_esd_numeric evaluates S, in order: wraps
+    esd.simon_curve, or replaces it with curve(t) where given."""
+    times, simon = [], esd.simon_curve
+
+    def wrapped(p, ch):
+        s_of = curve or simon(p, ch)
+        return lambda t: times.append(t) or s_of(t)
+
+    monkeypatch.setattr(esd, "simon_curve", wrapped)
+    return times
+
+
+class TestStridedScan:
+    """The strided scan keeps the kind of a scan of every grid point in
+    order, on every input, and its bracket wherever the computed sign of S
+    against SIGN_TOL changes at most once along the grid."""
+
+    @pytest.mark.parametrize("family", [roots_like, random_setup, wide_z],
+                             ids=["roots-like", "random-setup", "wide-z"])
+    def test_kind_always_and_bracket_unless_the_sign_flickers(self, rng, family):
+        kinds, flickering = Counter(), 0
+        for _ in range(300):
+            if family is random_setup:
+                p, ch = random_setup(rng)
+                t_max = float(rng.uniform(1.0, 60.0))
+            else:
+                p, ch, t_max = family(rng)
+            res = t_esd_numeric(p, ch, t_max)
+            kind, t_esd, bracket = plain_t_esd(p, ch, t_max)
+            kinds[kind] += 1
+            assert res.kind is kind, (p, ch, t_max)
+            if kind is EsdKind.FINITE_TIME and res.diagnostics["bracket"] != bracket:
+                assert grid_flips(p, ch, t_max) > 1, (p, ch, t_max)
+                flickering += 1
+            elif kind is EsdKind.ASYMPTOTIC:
+                assert res.diagnostics["s_at_t_max"] == simon_curve(p, ch)(t_max)
+        assert kinds[EsdKind.FINITE_TIME] > 150 and len(kinds) >= 2, kinds
+        assert flickering <= 3
+
+    def test_a_blip_inside_a_skipped_stretch(self, monkeypatch):
+        # S >= SIGN_TOL at grid point 1 only, inside the first stride, and
+        # again from grid point 10 on: an in-order scan brackets the blip,
+        # the strided one the later crossing; FiniteTime either way
+        p, ch, t_max = GaussianParams.tmsv(1.0), ChannelParams.symmetric(1.0), 10.0
+        grid = scan_grid(ch, t_max)
+
+        def blip(t):
+            return 1.0 if t == grid[1] or t >= grid[10] else -1.0
+
+        counted(monkeypatch, blip)
+        res = t_esd_numeric(p, ch, t_max)
+        kind, _, bracket = plain_t_esd(p, ch, t_max, blip)
+        assert res.kind is kind is EsdKind.FINITE_TIME
+        assert bracket == (grid[0], grid[1])
+        assert res.diagnostics["bracket"] == (grid[9], grid[10])
+
+    def test_a_blip_before_an_asymptotic_end_is_found(self, monkeypatch):
+        # no stride end reaches SIGN_TOL, so every skipped point is walked
+        # in order and the blip is bracketed as an in-order scan brackets it
+        p, ch, t_max = GaussianParams.tmsv(1.0), ChannelParams.symmetric(1.0), 10.0
+        grid = scan_grid(ch, t_max)
+
+        def blip(t):
+            return 1.0 if t == grid[13] else -1.0
+
+        times = counted(monkeypatch, blip)
+        res = t_esd_numeric(p, ch, t_max)
+        assert res.kind is EsdKind.FINITE_TIME
+        assert res.diagnostics["bracket"] == (grid[12], grid[13])
+        # S(0), every stride end, then every grid point up to the blip, once
+        scanned = {0.0, *grid[SCAN_STRIDE - 1::SCAN_STRIDE], grid[-1], *grid[:14]}
+        assert sorted(times[:len(scanned)]) == sorted(scanned)
+
+    def test_a_stride_end_that_refuses_walks_in_order(self, monkeypatch):
+        # S is not finite at grid point 7, a stride end, after a crossing at
+        # point 6 or a blip at point 1: answered as an in-order scan answers
+        p, ch, t_max = GaussianParams.tmsv(1.0), ChannelParams.symmetric(1.0), 10.0
+        grid = scan_grid(ch, t_max)
+        for up in (lambda t: t >= grid[6], lambda t: t == grid[1]):
+            def curve(t, up=up):
+                if t >= grid[7]:
+                    raise DomainError(f"Simon value is not finite at t={t}")
+                return 1.0 if up(t) else -1.0
+
+            counted(monkeypatch, curve)
+            res = t_esd_numeric(p, ch, t_max)
+            kind, t_esd, bracket = plain_t_esd(p, ch, t_max, curve)
+            assert res.kind is kind is EsdKind.FINITE_TIME
+            assert (res.t_esd, res.diagnostics["bracket"]) == (t_esd, bracket)
+        # with no crossing before it, both refuse there
+        counted(monkeypatch, lambda t: curve(t, up=lambda t: False))
+        for call in (lambda: t_esd_numeric(p, ch, t_max),
+                     lambda: plain_t_esd(p, ch, t_max, esd.simon_curve(p, ch))):
+            with pytest.raises(DomainError, match="^Simon value is not finite"):
+                call()
+
+    def test_evaluates_each_grid_point_at_most_once(self, rng, monkeypatch):
+        times = counted(monkeypatch)
+        finite = []
+        for _ in range(400):
+            p, ch, t_max = roots_like(rng)
+            times.clear()
+            res = t_esd_numeric(p, ch, t_max)
+            grid = scan_grid(ch, t_max)
+            if res.kind is EsdKind.FINITE_TIME:
+                lo, hi = res.diagnostics["bracket"]
+                scanned = [t for t in times if not lo < t < hi]
+                assert len(scanned) == len(set(scanned)) and set(scanned) <= {0.0, *grid}
+                finite.append(len(times))
+            elif res.kind is EsdKind.ASYMPTOTIC:
+                assert sorted(times) == [0.0, *grid]  # S(0) and its grid, once each
+            else:
+                assert times == [0.0]
+        # 25.1 evaluations of S per FiniteTime query with an in-order scan
+        assert len(finite) > 250 and np.mean(finite) < 16.0
 
 
 @pytest.mark.parametrize("call, error, message", [
