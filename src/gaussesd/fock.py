@@ -30,12 +30,11 @@ moment is read from the one (k1, k2) block that its observable reaches, a
 slice of its half with no copy, and the trace and the tail from block
 (0, 0), rho's diagonal.  The checks gather rho's two parity blocks of
 n1 + n2 from the buffer once, through an index that depends on the cutoff
-alone and is kept, read-only, for the last cutoff.  A step's propagators E
-and H depend on (channel, cutoff, t) alone and are kept, read-only, for the
-last step: 256 kB at cutoff 20, 1 MB at MAX_CUTOFF.  A chain that repeats a
-step length, as gamma t = 0.5, 1, 2 does, skips that step's exponential,
-and a step twice as long takes it as its half step.  The caches hold what
-a fresh call returns, so no result depends on the call history.
+alone and is kept, read-only, for the last cutoff.  A state made by a step
+remembers it: the channel, the step length and its read-only propagators
+(256 kB at cutoff 20, 1 MB at MAX_CUTOFF).  A chain that repeats a step
+length, as gamma t = 0.5, 1, 2 does, skips that step's exponential, and a
+step twice as long takes it as its half step, with a fresh step's bits.
 
 Every step's input must be finite, and every propagated state, a zero
 step's too, is checked.  The same step taken as two half steps must give
@@ -144,14 +143,15 @@ class FockDensityMatrix:
         buf = np.empty(index.size)
         buf[index] = np.concatenate([rows_even.take(even, 1), rows_odd.take(odd, 1)], axis=None)
         buf.flags.writeable = False
-        self.cutoff, self._buf, self._data = cutoff, buf, None
+        self.cutoff, self._buf, self._data, self._step = cutoff, buf, None, None
 
     @classmethod
-    def _from_buffer(cls, cutoff: int, buf: np.ndarray) -> FockDensityMatrix:
-        """The state whose block form is ``buf``, which it takes read-only."""
+    def _from_buffer(cls, cutoff: int, buf: np.ndarray, step=None) -> FockDensityMatrix:
+        """The state whose block form is ``buf``, which it takes read-only,
+        made by ``step`` (:func:`_step_propagators`), or by none."""
         state = cls.__new__(cls)
         buf.flags.writeable = False
-        state.cutoff, state._buf, state._data = cutoff, buf, None
+        state.cutoff, state._buf, state._data, state._step = cutoff, buf, None, step
         return state
 
     @property
@@ -362,9 +362,9 @@ def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray, out: np.ndarray,
            spans) -> np.ndarray:
     """out <- F1 y F2^T, for y and out one half of a state in block form with
     the (|k|, lo, hi) ``spans`` of its diagonals (:func:`_layout`), and F1,
-    F2 block stacks as in :func:`_step_propagators`: one small matmul per
-    diagonal on its rows, from y into out, then on its columns, in place.
-    Returns out."""
+    F2 one mode's block stacks of :func:`_step_propagators`: one small
+    matmul per diagonal on its rows, from y into out, then on its columns,
+    in place.  Returns out."""
     for k, lo, hi in spans:
         np.matmul(f1[k, : hi - lo, : hi - lo], y[lo:hi], out=out[lo:hi])
     for k, lo, hi in spans:
@@ -375,8 +375,8 @@ def _apply(f1: np.ndarray, f2: np.ndarray, y: np.ndarray, out: np.ndarray,
 def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The six moments, in CovarianceMatrix order, of the state that the
     steps (F1, F2) make of the state in block form ``buf``, each F1 X F2^T in
-    turn on rho regrouped as X[(n1 m1), (n2 m2)], for F1, F2 block stacks as
-    in :func:`_step_propagators`; of that state itself with no steps.
+    turn on rho regrouped as X[(n1 m1), (n2 m2)], for F1, F2 one mode's block
+    stacks of :func:`_step_propagators`; of that state itself with no steps.
 
     Each moment is sign tr((A (x) B) rho) = sign u^T X v with u = vec(A^T),
     v = vec(B^T), row-major.  A and B have entries on one diagonal k1 = n1 -
@@ -410,44 +410,38 @@ def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]
     return out
 
 
-# the last step's propagators: (ch, cutoff, t) -> (E, H), one entry at most
-_steps: dict = {}
-
-
-def _step_propagators(ch: ChannelParams, cutoff: int, t: float):
-    """((E1(t), E2(t)), (E1(t/2), E2(t/2))) for both modes' blocks of t L
-    (:func:`_mode_blocks`).  Each E is a (cutoff, cutoff, cutoff) block
-    stack: entry k holds exp(t L_k), k = n - m >= 0, in its leading cutoff -
-    k rows and columns; block -k is read from entry k.
+def _step_propagators(ch: ChannelParams, cutoff: int, t: float, kept):
+    """The step (ch, t, E(t), E(t/2)) for both modes' blocks of t L
+    (:func:`_mode_blocks`), given ``kept``, the step that made the input
+    state at ``cutoff`` or None.  Each E is a (2 cutoff, cutoff, cutoff)
+    block stack, mode 1's entries then mode 2's: entry k holds exp(t L_k), k
+    = n - m >= 0, in its leading cutoff - k rows and columns; block -k is
+    read from entry k.
 
     E(t/2) is :func:`_expm` of a = t L / 2 and E(t) is its square, one
-    batched product.  The stacks are read-only and kept for the last (ch,
-    cutoff, t) only (256 kB at cutoff 20, 1 MB at MAX_CUTOFF).  A step twice
-    the kept one, as the chains gamma t = 0.5, 1, 2 take (Delta t, Delta t,
-    2 Delta t), finds it by key and takes its E as E(t/2) on the blocks that
-    _expm scales by 2^-s with s >= 1: a / 2, whose exponential the kept E
-    squares, has exponent s - 1 and the same Pade input 2^-s a (barring
-    overflow and subnormals), so exp(a) is exp(a / 2)^2 bit for bit (Higham
-    2005).  The other blocks are exponentiated anew.  Every result has a
-    fresh call's bits."""
-    key = (ch, cutoff, t)
-    if key not in _steps:
-        a = 0.5 * t * np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
-                                      _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
-        kept = _steps.get((ch, cutoff, 0.5 * t))
-        if kept is None:
-            h = _expm(a)
-        else:
-            h = kept[0].copy()
-            fresh = _exponents(a) < 1
-            if fresh.any():
-                h[fresh] = _expm(a[fresh])
-        e = h @ h
-        e.flags.writeable = h.flags.writeable = False
-        _steps.clear()
-        _steps[key] = e, h
-    e, h = _steps[key]
-    return (e[:cutoff], e[cutoff:]), (h[:cutoff], h[cutoff:])
+    batched product; both are read-only (256 kB at cutoff 20, 1 MB at
+    MAX_CUTOFF).  The same (ch, t) as ``kept`` returns ``kept``.  A step
+    twice the kept one, as the chains gamma t = 0.5, 1, 2 take (Delta t,
+    Delta t, 2 Delta t), takes its E as E(t/2) on the blocks that _expm
+    scales by 2^-s with s >= 1: a / 2, whose exponential the kept E squares,
+    has exponent s - 1 and the same Pade input 2^-s a (barring overflow and
+    subnormals), so exp(a) is exp(a / 2)^2 bit for bit (Higham 2005).  The
+    other blocks, and every other step, are exponentiated anew.  Every
+    result has a fresh step's bits."""
+    if kept is not None and kept[:2] == (ch, t):
+        return kept
+    a = 0.5 * t * np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
+                                  _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
+    if kept is not None and kept[:2] == (ch, 0.5 * t):
+        h = kept[2].copy()
+        fresh = _exponents(a) < 1
+        if fresh.any():
+            h[fresh] = _expm(a[fresh])
+    else:
+        h = _expm(a)
+    e = h @ h
+    e.flags.writeable = h.flags.writeable = False
+    return ch, t, e, h
 
 
 @functools.lru_cache(maxsize=1)
@@ -547,13 +541,14 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     2 cutoff - 1 block matmuls per side split between the halves, each on
     its own diagonals, from the input's buffer into a new one, and the
     result stays in block form; no step scatters it back to the dense
-    matrix.  The propagators are kept from the last call's (ch,
-    cutoff, t): a chain whose steps repeat a length, as :func:`chain` over
-    gamma t = 0.5, 1, 2 in ``oracle-check``, acceptance criterion 8 and the
-    benchmark, computes them once for both, and takes them as the half step
-    of its third step, twice as long (:func:`_step_propagators`), with the
-    bits of fresh calls.  The step is accepted only if the split E(t/2)
-    E(t/2) gives every moment to within 1e-6 (StepTooLarge otherwise).
+    matrix.  The returned state remembers its step, and a step from it
+    reads that step's propagators (:func:`_step_propagators`): a chain whose
+    steps repeat a length, as :func:`chain` over gamma t = 0.5, 1, 2 in
+    ``oracle-check``, acceptance criterion 8 and the benchmark, computes
+    them once for both, and takes them as the half step of its third step,
+    twice as long, with a fresh step's bits.  The step is accepted only if
+    the split E(t/2) E(t/2) gives every moment to within 1e-6 (StepTooLarge
+    otherwise).
     :func:`_moments` reads the split moments from the input, propagating the
     backward observables through the half steps instead of the state
     forward, and the full-step ones from the output, the numbers that
@@ -575,12 +570,14 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     if not math.isfinite(total):
         raise OracleError(f"input state is not finite: its entries sum to {total}")
     n = rho0.cutoff
-    (e1, e2), (h1, h2) = _step_propagators(ch, n, t)
-    split = _moments(rho0._buf, n, (h1, h2), (h1, h2))
+    step = _step_propagators(ch, n, t, rho0._step)
+    e, h = step[2:]
+    half = h[:n], h[n:]
+    split = _moments(rho0._buf, n, half, half)
     buf = np.empty_like(rho0._buf)
     for y, out, spans in zip(_halves(rho0._buf, n), _halves(buf, n), _layout(n)[1]):
-        _apply(e1, e2, y, out, spans)
-    out = FockDensityMatrix._from_buffer(n, buf)
+        _apply(e[:n], e[n:], y, out, spans)
+    out = FockDensityMatrix._from_buffer(n, buf, step)
 
     diff = float(np.max(np.abs(_moments(buf, n) - split)))
     if not diff < 1e-6:

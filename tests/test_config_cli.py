@@ -732,9 +732,9 @@ class TestOracleCheckCommand:
         # passes, but the trace grows to exp(0.02 t)
         exact = fock._step_propagators
 
-        def growing(ch, cutoff, t):
-            return tuple(tuple(e * math.exp(0.01 * s) for e in pair)
-                         for pair, s in zip(exact(ch, cutoff, t), (t, 0.5 * t)))
+        def growing(ch, cutoff, t, kept):
+            ch, t, e, h = exact(ch, cutoff, t, None)
+            return ch, t, e * math.exp(0.01 * t), h * math.exp(0.005 * t)
 
         monkeypatch.setattr(fock, "_step_propagators", growing)
         cfg = tmp_path / "oracle.cfg"

@@ -321,9 +321,9 @@ class TestIntegrate:
         exact = fock._step_propagators
         t = 8.0
 
-        def perturbed(ch, cutoff, step):
-            full, half = exact(ch, cutoff, step)
-            return full, tuple(h * (1.0 + 1e-4) for h in half)
+        def perturbed(ch, cutoff, step, kept):
+            ch, step, e, h = exact(ch, cutoff, step, None)
+            return ch, step, e, h * (1.0 + 1e-4)
 
         monkeypatch.setattr(fock, "_step_propagators", perturbed)
         rho = build_initial_state(GaussianParams.tmsv(0.4), 16)
@@ -336,10 +336,10 @@ class TestIntegrate:
         # one: E(t/2) from an _expm call on t L / 2 per mode, E(t) as its
         # square; a call on t L would square no block of the short step
         # (s = 0) and some of the long one (s >= 1)
-        def four_calls(ch, c, t):
+        def four_calls(ch, c, t, kept=None):
             modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-            half = tuple(fock._expm(0.5 * t * fock._mode_blocks(g, nb, c)) for g, nb in modes)
-            return tuple(h @ h for h in half), half
+            half = [fock._expm(0.5 * t * fock._mode_blocks(g, nb, c)) for g, nb in modes]
+            return ch, t, np.concatenate([h @ h for h in half]), np.concatenate(half)
 
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
@@ -347,8 +347,8 @@ class TestIntegrate:
         fast = fock._step_propagators
         norms = []
         for t in (0.01, 2.0 / 0.3):
-            for mine, ref in zip(fast(ch, cutoff, t), four_calls(ch, cutoff, t)):
-                assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
+            mine, ref = fast(ch, cutoff, t, None), four_calls(ch, cutoff, t)
+            assert all(np.array_equal(a, b) for a, b in zip(mine[2:], ref[2:]))
             out = integrate(rho, ch, t, tail_tol=1.0)
             monkeypatch.setattr(fock, "_step_propagators", four_calls)
             assert np.array_equal(out.data, integrate(rho, ch, t, tail_tol=1.0).data)
@@ -446,11 +446,12 @@ class TestIntegrate:
         assert calls == []
         assert rho.data is rho.data and calls == [1]
 
-    def test_step_propagator_cache_holds_one_step(self, monkeypatch):
-        # times a, 2a, 4a take steps a, a, 2a (2a - a is a exactly): the build
+    def test_state_keeps_the_step_that_made_it(self, monkeypatch):
+        # steps a, a, 2a, as the times a, 2a, 4a take them: the build
         # exponentiates cutoff + 2 blocks and the first step both modes'
-        # 2 cutoff; the second, a hit, none; the third, twice the kept step,
-        # only the blocks that _expm does not square at a
+        # 2 cutoff; the second, from a state that the same step made, none;
+        # the third, twice that step, only the blocks that _expm does not
+        # square at a
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
         a, cutoff = 0.7, 8
@@ -459,26 +460,49 @@ class TestIntegrate:
                             lambda stack: counts.append(len(stack)) or expm(stack))
         under = int(np.sum(floored(ch, cutoff, a)))
         assert 0 < under < 2 * cutoff
-        fock._steps.clear()
-        fock.chain(p, ch, [a, 2 * a, 4 * a], cutoff, tail_tol=1.0)
+        rho0 = build_initial_state(p, cutoff, tail_tol=1.0)
+        states = [rho0]
+        for step in (a, a, 2 * a):
+            states.append(integrate(states[-1], ch, step, tail_tol=1.0))
         assert counts == [cutoff + 2, 2 * cutoff, under]
-        assert list(fock._steps) == [(ch, cutoff, 2 * a)]
-        for stack in (s for pair in fock._step_propagators(ch, cutoff, 2 * a) for s in pair):
+        assert rho0._step is None and states[1]._step is states[2]._step
+        assert states[3]._step[:2] == (ch, 2 * a)
+        for stack in states[3]._step[2:]:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 0
-        rho = build_initial_state(p, cutoff, tail_tol=1.0)
+        # the built state's bytes with the kept step 2a, then without a step
         counts.clear()
-        hit = integrate(rho, ch, 2 * a, tail_tol=1.0)
+        hit = integrate(FockDensityMatrix._from_buffer(cutoff, rho0._buf, states[3]._step),
+                        ch, 2 * a, tail_tol=1.0)
         assert counts == []
-        fock._steps.clear()
-        fresh = integrate(rho, ch, 2 * a, tail_tol=1.0)
+        fresh = integrate(rho0, ch, 2 * a, tail_tol=1.0)
         assert counts == [2 * cutoff]
         assert hit.data.tobytes() == fresh.data.tobytes()
 
+    def test_interleaved_chains_keep_their_steps(self, monkeypatch):
+        # two chains on different channels, taken step by step in turn, give
+        # the bytes and the exponentials of the two taken one after the other
+        p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
+        chs = (ChannelParams(0.3, 0.15, 0.4, 0.2), ChannelParams(0.2, 0.4, 0.3, 0.1))
+        a, cutoff = 0.7, 8
+        expm, counts = fock._expm, []
+        monkeypatch.setattr(fock, "_expm",
+                            lambda stack: counts.append(len(stack)) or expm(stack))
+
+        def run(order):
+            counts.clear()
+            rhos = [build_initial_state(p, cutoff, tail_tol=1.0) for _ in chs]
+            for i, step in order:
+                rhos[i] = integrate(rhos[i], chs[i], step, tail_tol=1.0)
+            return [rho._buf.tobytes() for rho in rhos], sum(counts)
+
+        steps = (a, a, 2 * a)
+        after = run([(i, step) for i in (0, 1) for step in steps])
+        assert run([(i, step) for step in steps for i in (0, 1)]) == after
+
     def test_doubled_step_is_a_fresh_call_bit_for_bit(self):
-        # a (ch, cutoff, 2 dt) call taken from the kept (ch, cutoff, dt)
-        # gives both modes' E(2 dt) and E(dt) stacks with a fresh call's
-        # bytes; the draws reach steps with every block under the Pade floor
+        # a (ch, 2 dt) step taken from the kept (ch, dt) gives both modes'
+        # E(2 dt) and E(dt) stacks with a fresh step's bytes; the draws reach steps with every block under the Pade floor
         # at dt, with none, and with some
         rng = np.random.default_rng(2205)
         shares = []
@@ -489,30 +513,28 @@ class TestIntegrate:
             ch = ChannelParams(float(g1), float(g2), float(nb1), float(nb2))
             dt = float(10.0 ** rng.uniform(-3.0, 1.5))
             shares.append(np.mean(floored(ch, cutoff, dt)))
-            fock._steps.clear()
-            fock._step_propagators(ch, cutoff, dt)
-            doubled = fock._step_propagators(ch, cutoff, 2 * dt)
-            fock._steps.clear()
-            fresh = fock._step_propagators(ch, cutoff, 2 * dt)
-            for mine, ref in zip(doubled, fresh):  # (E1, E2) at 2 dt, then at dt
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, ref))
+            kept = fock._step_propagators(ch, cutoff, dt, None)
+            doubled = fock._step_propagators(ch, cutoff, 2 * dt, kept)
+            fresh = fock._step_propagators(ch, cutoff, 2 * dt, None)
+            assert doubled[:2] == fresh[:2] == (ch, 2 * dt)
+            for mine, ref in zip(doubled[2:], fresh[2:]):  # both modes' E at 2 dt, then at dt
+                assert mine.tobytes() == ref.tobytes()
         assert min(shares) == 0 and max(shares) == 1
         assert any(0 < f < 1 for f in shares)
 
     @pytest.mark.parametrize("cutoff, a", [(8, 0.7), (12, 0.05), (20, 1.3)])
     def test_chain_does_not_depend_on_the_kept_step(self, cutoff, a):
         # times a, 2a, 4a, whose last step squares the kept one, against the
-        # same steps with the propagator cache emptied before each: the same
+        # same steps each from the state's bytes with no step kept: the same
         # bytes; at a some blocks sit under the Pade floor (all at cutoff 12)
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
-        fock._steps.clear()
         kept = fock.chain(p, ch, [a, 2 * a, 4 * a], cutoff, tail_tol=1.0)
         rho = build_initial_state(p, cutoff, tail_tol=1.0)
         t_prev = 0.0
         for t, cm, tail in kept:
-            fock._steps.clear()
-            rho = integrate(rho, ch, t - t_prev, tail_tol=1.0)
+            rho = integrate(FockDensityMatrix._from_buffer(cutoff, rho._buf), ch, t - t_prev,
+                            tail_tol=1.0)
             t_prev = t
             assert repr((cm, tail)) == repr((moments(rho), rho.tail_population()))
 
@@ -620,8 +642,8 @@ class TestBlocks:
         t = 3.0
         ch = ChannelParams(gamma, 0.5 * gamma, nb, nb + 0.25)
         modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-        for s, pair in zip((t, 0.5 * t), fock._step_propagators(ch, cutoff, t)):
-            for (g, n), e in zip(modes, pair):
+        for s, stack in zip((t, 0.5 * t), fock._step_propagators(ch, cutoff, t, None)[2:]):
+            for (g, n), e in zip(modes, np.split(stack, 2)):
                 dense = mode_generator(g, n, cutoff)
                 assert e.shape == (cutoff, cutoff, cutoff)
                 for k in range(1 - cutoff, cutoff):
@@ -650,7 +672,7 @@ class TestBlocks:
         # traces literally; cutoff 2 has no blocks k = +-2
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
         ch = ChannelParams(0.3, 0.15, 0.4, 0.2)
-        hs = fock._step_propagators(ch, cutoff, 2.5)[1]
+        hs = np.split(fock._step_propagators(ch, cutoff, 2.5, None)[3], 2)
         rho = build_initial_state(p, cutoff, tail_tol=1.0)
         dense = [np.zeros((cutoff**2, cutoff**2)) for _ in hs]
         for h, d in zip(hs, dense):
@@ -798,8 +820,7 @@ class TestMoments:
 
 def traced_peak(call):
     """Peak bytes that numpy and Python allocate during call(), measured after
-    one untraced warm-up call has filled the caches; a call that must not
-    hit a cache clears it itself."""
+    one untraced warm-up call has filled the layout caches."""
     call()
     tracemalloc.start()
     try:
@@ -818,15 +839,10 @@ class TestAllocation:
     def test_integrate_peak(self):
         # the output buffer and validate's parity blocks, each half a
         # cutoff^4 array, and the propagators' Pade temporaries, computed
-        # anew, not taken from the warm-up call: measured 1.50 cutoff^4
+        # anew, since the built state keeps no step: measured 1.50 cutoff^4
         # float64 at cutoff 20, bounded at 2 cutoff^4, a margin of one buffer
         rho, ch = self.state(), ChannelParams(0.25, 0.2, 0.25, 0.1)
-
-        def step():
-            fock._steps.clear()
-            integrate(rho, ch, 4.0)
-
-        peak = traced_peak(step)
+        peak = traced_peak(lambda: integrate(rho, ch, 4.0))
         assert peak <= 2 * self.CUTOFF**4 * 8, f"{peak / 1e6:.2f} MB"
 
     def test_build_peak(self):
