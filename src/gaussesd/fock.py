@@ -351,7 +351,9 @@ def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     gamma nb D[a'], D[c] rho = 2 c rho c' - c'c rho - rho c'c, on the
     row-major vectorized operator, index n * cutoff + m: 2 a rho a' above the
     diagonal, 2 a' rho a below, number terms on it (the truncated a a' ends
-    in 0)."""
+    in 0).  Scaled by a time s, the blocks of s L are those at gamma s, which
+    the caller forms first, as channel._decay does: a rate near the float
+    maximum meets its time before it meets nb + 1."""
     def diag(n: np.ndarray, m: np.ndarray) -> np.ndarray:
         aad = np.where(n < cutoff - 1, n + 1.0, 0.0) + np.where(m < cutoff - 1, m + 1.0, 0.0)
         return gamma * (nb + 1.0) * -(n + m) + gamma * nb * -aad
@@ -412,7 +414,7 @@ def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]
 
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float, kept):
     """The step (ch, t, E(t), E(t/2)) for both modes' blocks of t L
-    (:func:`_mode_blocks`), given ``kept``, the step that made the input
+    (:func:`_mode_blocks` at the rate times t / 2), given ``kept``, the step that made the input
     state at ``cutoff`` or None.  Each E is a (2 cutoff, cutoff, cutoff)
     block stack, mode 1's entries then mode 2's: entry k holds exp(t L_k), k
     = n - m >= 0, in its leading cutoff - k rows and columns; block -k is
@@ -430,8 +432,8 @@ def _step_propagators(ch: ChannelParams, cutoff: int, t: float, kept):
     result has a fresh step's bits."""
     if kept is not None and kept[:2] == (ch, t):
         return kept
-    a = 0.5 * t * np.concatenate([_mode_blocks(ch.gamma1, ch.nb1, cutoff),
-                                  _mode_blocks(ch.gamma2, ch.nb2, cutoff)])
+    a = np.concatenate([_mode_blocks(ch.gamma1 * (0.5 * t), ch.nb1, cutoff),
+                        _mode_blocks(ch.gamma2 * (0.5 * t), ch.nb2, cutoff)])
     if kept is not None and kept[:2] == (ch, 0.5 * t):
         h = kept[2].copy()
         fresh = _exponents(a) < 1

@@ -701,6 +701,17 @@ class TestOracleCheckCommand:
         worst = float(out.split("max_deviation: ")[1].split()[0])
         assert worst < 1e-3
 
+    def test_rates_near_the_float_maximum_pass(self, tmp_path, capsys):
+        # inside the certified domain at gamma = 1e308: the generator is
+        # formed at gamma t / 2, so 2 gamma (nb + 1) never overflows
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("[state]\nz1 = 0.2\nz2 = 0.2\nr = 0.3\n"
+                       "[channel]\ngamma1 = 1e308\ngamma2 = 1e308\nnb1 = 0.1\nnb2 = 0.1\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("status: pass\n")
+        assert float(out.split("max_deviation: ")[1].split()[0]) < 1e-10
+
     def test_below_certified_cutoff_is_advisory(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text("[state]\nr = 0.3\n[oracle]\ncutoff = 14\ntimes = 2\n")

@@ -333,12 +333,12 @@ class TestIntegrate:
     @pytest.mark.parametrize("cutoff", [8, 12, 20])
     def test_one_exponential_per_step_is_the_four_call_reference(self, monkeypatch, cutoff):
         # the four propagators E1(t), E2(t), E1(t/2), E2(t/2) built one by
-        # one: E(t/2) from an _expm call on t L / 2 per mode, E(t) as its
-        # square; a call on t L would square no block of the short step
-        # (s = 0) and some of the long one (s >= 1)
+        # one: E(t/2) from an _expm call on t L / 2 per mode, formed at the
+        # rate gamma t / 2, E(t) as its square; a call on t L would square no
+        # block of the short step (s = 0) and some of the long one (s >= 1)
         def four_calls(ch, c, t, kept=None):
             modes = ((ch.gamma1, ch.nb1), (ch.gamma2, ch.nb2))
-            half = [fock._expm(0.5 * t * fock._mode_blocks(g, nb, c)) for g, nb in modes]
+            half = [fock._expm(fock._mode_blocks(g * (0.5 * t), nb, c)) for g, nb in modes]
             return ch, t, np.concatenate([h @ h for h in half]), np.concatenate(half)
 
         p = GaussianParams(0.3, -0.2, 0.4, 0.2, 0.1)
