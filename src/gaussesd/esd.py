@@ -103,7 +103,9 @@ def esd_condition_symmetric(z0: float, r0: float) -> bool:
     0 < r0 < log(cosh(2 z0)) / 2.  From |z0| = 355, before cosh(2 z0)
     overflows (|z0| > 355.2378), the bound is formed as |z0| - log(2) / 2,
     dropping the log1p(e^{-4|z0|}) / 2 of the identity, which is 0 in
-    double precision there; up to the overflow both forms round alike."""
+    double precision there; up to the overflow both forms round alike.
+    DomainError for a non-finite z0 or r0, or r0 <= 0."""
+    z0, r0 = _require_finite("z0", z0), _require_finite("r0", r0)
     if not r0 > 0:
         raise DomainError(f"r0 must be > 0, got {r0}")
     if abs(z0) < 355.0:
@@ -159,8 +161,9 @@ def t_esd_analytic_symmetric(z0: float, r0: float, gamma: float) -> EsdResult:
     """Closed-form separation time for the symmetric pure zero-temperature
     case.  Asymptotic where esd_condition_symmetric fails, with no decay
     ratio formed; where it holds, FiniteTime with t_esd = -ln(R)/(2 gamma)
-    from the decay ratio R, and DomainError where R has rounded out of
-    (0, 1) or symmetric_esd_decay_ratio refuses."""
+    from the decay ratio R, and DomainError for a non-finite input, where R
+    has rounded out of (0, 1) or symmetric_esd_decay_ratio refuses."""
+    gamma = _require_finite("gamma", gamma)
     if not (r0 > 0 and gamma > 0):
         raise DomainError(f"need r0 > 0 and gamma > 0, got r0={r0}, gamma={gamma}")
     if not esd_condition_symmetric(z0, r0):

@@ -673,6 +673,17 @@ class TestStridedScan:
     (lambda: t_esd_analytic_symmetric(2.0, 0.0, 0.1), ValueError, "need r0 > 0 and gamma > 0"),
     (lambda: t_esd_analytic_symmetric(2.0, 1.0, 0.0), ValueError, "need r0 > 0 and gamma > 0"),
     (lambda: t_esd_analytic_symmetric(2.0, 1.0, -0.1), ValueError, "need r0 > 0 and gamma > 0"),
+    (lambda: t_esd_analytic_symmetric(math.nan, 1.0, 1.0), DomainError,
+     "^z0 must be finite, got nan$"),
+    (lambda: t_esd_analytic_symmetric(2.0, math.inf, 1.0), DomainError,
+     "^r0 must be finite, got inf$"),
+    (lambda: t_esd_analytic_symmetric(2.0, 1.0, math.inf), DomainError,
+     "^gamma must be finite, got inf$"),
+    (lambda: t_esd_analytic_symmetric(2.0, 1.0, math.nan), DomainError,
+     "^gamma must be finite, got nan$"),
+    (lambda: esd_condition_symmetric(math.nan, 1.0), DomainError, "^z0 must be finite, got nan$"),
+    (lambda: esd_condition_symmetric(math.inf, 1.0), DomainError, "^z0 must be finite, got inf$"),
+    (lambda: esd_condition_symmetric(1.0, math.inf), DomainError, "^r0 must be finite, got inf$"),
     (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, 0.0), ValueError,
      "t_esd must be > 0"),
     (lambda: EsdResult(EsdKind.FINITE_TIME, EsdMethod.ANALYTIC, -1.0), ValueError,
@@ -680,6 +691,8 @@ class TestStridedScan:
 ], ids=["sweep-negative-times", "sweep-nan-time", "sweep-nan-z", "sweep-inf-z", "sweep-nan-r0",
         "numeric-t-max-zero", "numeric-t-max-negative",
         "numeric-simon-overflow", "analytic-r0-zero", "analytic-gamma-zero", "analytic-gamma-negative",
+        "analytic-nan-z0", "analytic-inf-r0", "analytic-inf-gamma", "analytic-nan-gamma",
+        "condition-nan-z0", "condition-inf-z0", "condition-inf-r0",
         "result-t-esd-zero", "result-t-esd-negative"])
 def test_out_of_range_input_rejected(call, error, message):
     with pytest.raises(error, match=message):
