@@ -351,9 +351,7 @@ def _mode_blocks(gamma: float, nb: float, cutoff: int) -> np.ndarray:
     gamma nb D[a'], D[c] rho = 2 c rho c' - c'c rho - rho c'c, on the
     row-major vectorized operator, index n * cutoff + m: 2 a rho a' above the
     diagonal, 2 a' rho a below, number terms on it (the truncated a a' ends
-    in 0).  Scaled by a time s, the blocks of s L are those at gamma s, which
-    the caller forms first, as channel._decay does: a rate near the float
-    maximum meets its time before it meets nb + 1."""
+    in 0)."""
     def diag(n: np.ndarray, m: np.ndarray) -> np.ndarray:
         aad = np.where(n < cutoff - 1, n + 1.0, 0.0) + np.where(m < cutoff - 1, m + 1.0, 0.0)
         return gamma * (nb + 1.0) * -(n + m) + gamma * nb * -aad
@@ -414,11 +412,12 @@ def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]
 
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float, kept):
     """The step (ch, t, E(t), E(t/2)) for both modes' blocks of t L
-    (:func:`_mode_blocks` at the rate times t / 2), given ``kept``, the step that made the input
-    state at ``cutoff`` or None.  Each E is a (2 cutoff, cutoff, cutoff)
-    block stack, mode 1's entries then mode 2's: entry k holds exp(t L_k), k
-    = n - m >= 0, in its leading cutoff - k rows and columns; block -k is
-    read from entry k.
+    (:func:`_mode_blocks` at the rates gamma t / 2, which, formed first, do
+    not overflow as 2 gamma (nb + 1) can), given ``kept``, the step that
+    made the input state at ``cutoff``, or None.  Each E is a (2 cutoff,
+    cutoff, cutoff) block stack, mode 1's entries then mode 2's: entry k
+    holds exp(t L_k), k = n - m >= 0, in its leading cutoff - k rows and
+    columns; block -k is read from entry k.
 
     E(t/2) is :func:`_expm` of a = t L / 2 and E(t) is its square, one
     batched product; both are read-only (256 kB at cutoff 20, 1 MB at
@@ -545,19 +544,17 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
     result stays in block form; no step scatters it back to the dense
     matrix.  The returned state remembers its step, and a step from it
     reads that step's propagators (:func:`_step_propagators`): a chain whose
-    steps repeat a length, as :func:`chain` over gamma t = 0.5, 1, 2 in
-    ``oracle-check``, acceptance criterion 8 and the benchmark, computes
-    them once for both, and takes them as the half step of its third step,
-    twice as long, with a fresh step's bits.  The step is accepted only if
-    the split E(t/2) E(t/2) gives every moment to within 1e-6 (StepTooLarge
-    otherwise).
-    :func:`_moments` reads the split moments from the input, propagating the
-    backward observables through the half steps instead of the state
-    forward, and the full-step ones from the output, the numbers that
-    :func:`moments` reports.  E(t) is E(t/2) squared, so E(t/2) E(t/2) is
-    E(t) bit for bit and the gate checks the block arithmetic.  The input
-    must be finite, which one sum over its buffer tests (OracleError
-    otherwise).
+    steps repeat a length, as :func:`chain` over gamma t = 0.5, 1, 2 does,
+    computes them once for both, and takes them as the half step of its
+    third step, twice as long, with a fresh step's bits.  The step is
+    accepted only if the split E(t/2) E(t/2) gives every moment to within
+    1e-6 (StepTooLarge otherwise).  :func:`_moments` reads the split moments
+    from the input, propagating the backward observables through the half
+    steps instead of the state forward, and the full-step ones from the
+    output, the numbers that :func:`moments` reports.  E(t) is E(t/2)
+    squared, so E(t/2) E(t/2) is E(t) bit for bit and the gate checks the
+    block arithmetic.  The input must be finite, which one sum over its
+    buffer tests (OracleError otherwise).
     The returned state is validated: symmetry, unit trace, positivity (a
     Cholesky test) and the tail bound (CutoffInsufficient if the bath heats
     the state past the cutoff).  A zero step takes the same path; its blocks
@@ -573,7 +570,7 @@ def integrate(rho0: FockDensityMatrix, ch: ChannelParams, t: float,
         raise OracleError(f"input state is not finite: its entries sum to {total}")
     n = rho0.cutoff
     step = _step_propagators(ch, n, t, rho0._step)
-    e, h = step[2:]
+    _, _, e, h = step
     half = h[:n], h[n:]
     split = _moments(rho0._buf, n, half, half)
     buf = np.empty_like(rho0._buf)
