@@ -412,8 +412,8 @@ def _moments(buf: np.ndarray, cutoff: int, *steps: tuple[np.ndarray, np.ndarray]
 
 def _step_propagators(ch: ChannelParams, cutoff: int, t: float, kept):
     """The step (ch, t, E(t), E(t/2)) for both modes' blocks of t L
-    (:func:`_mode_blocks` at the rates gamma t / 2, which, formed first, do
-    not overflow as 2 gamma (nb + 1) can), given ``kept``, the step that
+    (:func:`_mode_blocks` at gamma t / 2, formed first so that a rate near
+    the float maximum meets t before nb + 1), given ``kept``, the step that
     made the input state at ``cutoff``, or None.  Each E is a (2 cutoff,
     cutoff, cutoff) block stack, mode 1's entries then mode 2's: entry k
     holds exp(t L_k), k = n - m >= 0, in its leading cutoff - k rows and

@@ -502,8 +502,9 @@ class TestIntegrate:
 
     def test_doubled_step_is_a_fresh_call_bit_for_bit(self):
         # a (ch, 2 dt) step taken from the kept (ch, dt) gives both modes'
-        # E(2 dt) and E(dt) stacks with a fresh step's bytes; the draws reach steps with every block under the Pade floor
-        # at dt, with none, and with some
+        # E(2 dt) and E(dt) stacks with a fresh step's bytes; the draws reach
+        # steps with every block under the Pade floor at dt, with none, and
+        # with some
         rng = np.random.default_rng(2205)
         shares = []
         for _ in range(100):
