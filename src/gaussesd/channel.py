@@ -80,7 +80,8 @@ class Trajectory:
 def _decay(ch: ChannelParams):
     """t -> the decay factors (e1, h1, e2, h2, ec) of states._combine, with
     the channel read once: the only code that exponentiates a rate times a
-    time.  e_i = exp(-2 gamma_i t), h_i = (1 - e_i) nb_i by expm1 and
+    time, and the one that refuses a negative or NaN t (DomainError).
+    e_i = exp(-2 gamma_i t), h_i = (1 - e_i) nb_i by expm1 and
     ec = exp(-(gamma1 + gamma2) t); no exponent is positive, so e_i and ec
     lie in [0, 1] and h_i in [0, nb_i] at every t >= 0, inf included.  Each
     gamma t is formed before it is doubled, and (gamma1 + gamma2) t as
@@ -91,6 +92,8 @@ def _decay(ch: ChannelParams):
     exp, expm1 = math.exp, math.expm1
 
     def at(t: float) -> tuple:
+        if not t >= 0:  # NaN fails it too
+            raise DomainError(f"time must be >= 0, got {t}")
         x1 = -2.0 * (g1 * t)
         x2 = -2.0 * (g2 * t)
         return exp(x1), -expm1(x1) * nb1, exp(x2), -expm1(x2) * nb2, exp(-(c * (g12 * t)))
@@ -105,10 +108,8 @@ def evolve(p0: GaussianParams, ch: ChannelParams, t: float) -> CovarianceMatrix:
     equation; at t = 0 this reduces exactly to cm_from_params(p0), and for
     t -> infinity it converges to the bath moments (n_i = nb_i, m = 0).
     """
-    if not t >= 0:  # NaN fails it too
-        raise DomainError(f"time must be >= 0, got {t}")
-    terms = _param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2)
-    return CovarianceMatrix(*_combine(terms, _decay(ch)(t)))
+    decay = _decay(ch)(t)
+    return CovarianceMatrix(*_combine(_param_terms(p0.z1, p0.z2, p0.r, p0.nu1, p0.nu2), decay))
 
 
 def simon_curve(p0: GaussianParams, ch: ChannelParams):
@@ -119,8 +120,6 @@ def simon_curve(p0: GaussianParams, ch: ChannelParams):
     decay = _decay(ch)
 
     def s_of(t: float) -> float:
-        if not t >= 0:  # NaN fails it too
-            raise DomainError(f"time must be >= 0, got {t}")
         s = simon_from_moments(*_combine(terms, decay(t)))
         if not math.isfinite(s):
             raise DomainError(f"Simon value is not finite at t={t}")
@@ -136,10 +135,8 @@ def _evolve_grid(rows, ch: ChannelParams, times) -> tuple:
     (z1, z2, r, nu1, nu2) as floats that GaussianParams would accept; the
     caller has checked them.  Raises DomainError where S is not finite, which
     is how an overflow shows; numpy's warnings are silenced."""
-    if not all(t >= 0 for t in times):  # NaN fails it too
-        raise DomainError("times must be >= 0")
-    terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 12).T[:, :, None]
     factors = np.array(list(map(_decay(ch), times))).reshape(-1, 5).T
+    terms = np.array([_param_terms(*row) for row in rows]).reshape(-1, 12).T[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _combine(terms, factors)
         s = simon_from_moments(*moments)
@@ -164,8 +161,6 @@ def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMa
     rate and the same scaling rule; evolve(p0, ch, t) equals
     evolve_cm(cm_from_params(p0), ch, t) up to rounding.
     """
-    if not t >= 0:  # NaN fails it too
-        raise DomainError(f"time must be >= 0, got {t}")
     e1, _, e2, _, ec = _decay(ch)(t)
     return CovarianceMatrix(ch.nb1 + e1 * (cm.n1 - ch.nb1), ch.nb2 + e2 * (cm.n2 - ch.nb2),
                             e1 * cm.m1, e2 * cm.m2, ec * cm.ms, ec * cm.mc)
@@ -182,8 +177,6 @@ def symmetric_initial_moments(r0: float, nu0: float = 0.0) -> tuple[float, float
 def evolve_symmetric(n0: float, m0: float, gamma: float, t: float) -> tuple[float, float]:
     """Symmetric zero-temperature case: both surviving moments scale by
     exp(-2 gamma t), the e1 of :func:`_decay` for ChannelParams.symmetric(gamma)."""
-    if not t >= 0:  # NaN fails it too
-        raise DomainError(f"time must be >= 0, got {t}")
     decay = _decay(ChannelParams.symmetric(gamma))(t)[0]
     return n0 * decay, m0 * decay
 

@@ -120,11 +120,9 @@ class CovarianceMatrix:
         large to test: s1 or s2 overflows, or the last test is inf - inf."""
         inv = invariants(self)
         last = inv.iv + 0.0625 - 0.25 * (inv.i1 + inv.i2 + 2.0 * inv.i3)
-        try:
-            s1, s2 = (self.n1 + 0.5 + abs(self.m1)) ** 2, (self.n2 + 0.5 + abs(self.m2)) ** 2
-        except OverflowError:
-            last = math.nan
-        if math.isnan(last):
+        u1, u2 = self.n1 + 0.5 + abs(self.m1), self.n2 + 0.5 + abs(self.m2)
+        s1, s2 = u1 * u1, u2 * u2
+        if math.isnan(last) or max(s1, s2) == math.inf:
             raise DomainError(f"moments too large to test for physicality: n1={self.n1}, n2={self.n2}")
         return (
             inv.i1 >= 0.25 - tol * s1
@@ -168,13 +166,12 @@ def invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
 
     iv is the determinant of the 4x4 matrix: every 2x2 block has the form
     ((x, y), (y, x)), so the rotation to (x + y, x - y) splits it into two
-    2x2 determinants.
+    2x2 determinants.  Squares are products, so no moment raises.
     """
     a = cm.n1 + 0.5
     b = cm.n2 + 0.5
-    iv = ((a + cm.m1) * (b + cm.m2) - (cm.ms + cm.mc) ** 2) * (
-        (a - cm.m1) * (b - cm.m2) - (cm.ms - cm.mc) ** 2
-    )
+    sp, sm = cm.ms + cm.mc, cm.ms - cm.mc
+    iv = ((a + cm.m1) * (b + cm.m2) - sp * sp) * ((a - cm.m1) * (b - cm.m2) - sm * sm)
     return SymplecticInvariants(*_local_invariants(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc), iv)
 
 

@@ -295,7 +295,7 @@ class TestSimonGrid:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, -1.0])
-        with pytest.raises(ValueError, match="times must be >= 0"):
+        with pytest.raises(ValueError, match="time must be >= 0, got nan"):
             simon_grid([GaussianParams.tmsv(1.0)], ChannelParams.symmetric(0.1), [0.0, math.nan])
 
     @pytest.mark.parametrize("t", [-1.0, math.nan])

@@ -158,6 +158,18 @@ class TestParameterExtraction:
             with pytest.raises(DomainError, match="moments too large to test for physicality"):
                 params_from_cm(cm)
 
+    def test_tmsv_too_large_to_test_is_refused(self):
+        # r = 200: the moments are about 1.3e173, so every square overflows;
+        # the invariants are IEEE inf and NaN, and the refusal is named
+        cm = cm_from_params(GaussianParams(0.0, 0.0, 200.0))
+        inv = invariants(cm)
+        assert (inv.i1, inv.i2, inv.i3, inv.i4) == (math.inf, math.inf, -math.inf, math.inf)
+        assert math.isnan(inv.iv)
+        with pytest.raises(DomainError, match="moments too large to test for physicality"):
+            cm.is_physical()
+        with pytest.raises(DomainError, match="moments too large to test for physicality"):
+            params_from_cm(cm)
+
     def test_extraction_negative_occupation_rejected(self):
         # mc^2 = 1.44 > (n1 + 1) n2 = 0.3: unwinding the squeezers would leave
         # a negative occupation, but the uncertainty relation rejects it first
