@@ -424,16 +424,18 @@ def _step_propagators(ch: ChannelParams, cutoff: int, t: float, kept):
     MAX_CUTOFF).  The same (ch, t) as ``kept`` returns ``kept``.  A step
     twice the kept one, as the chains gamma t = 0.5, 1, 2 take (Delta t,
     Delta t, 2 Delta t), takes its E as E(t/2) on the blocks that _expm
-    scales by 2^-s with s >= 1: a / 2, whose exponential the kept E squares,
-    has exponent s - 1 and the same Pade input 2^-s a (barring overflow and
-    subnormals), so exp(a) is exp(a / 2)^2 bit for bit (Higham 2005).  The
-    other blocks, and every other step, are exponentiated anew.  Every
-    result has a fresh step's bits."""
+    scales by 2^-s with s >= 1, where halving the kept length is exact: a / 2,
+    whose exponential the kept E squares, has exponent s - 1 and the same
+    Pade input 2^-s a (barring overflow and subnormal entries), so exp(a) is
+    exp(a / 2)^2 bit for bit (Higham 2005).  A subnormal kept length, as a
+    rate near 1e308 gives, can round when halved.  The other blocks, and
+    every other step, are exponentiated anew.  Every result has a fresh
+    step's bits."""
     if kept is not None and kept[:2] == (ch, t):
         return kept
     a = np.concatenate([_mode_blocks(ch.gamma1 * (0.5 * t), ch.nb1, cutoff),
                         _mode_blocks(ch.gamma2 * (0.5 * t), ch.nb2, cutoff)])
-    if kept is not None and kept[:2] == (ch, 0.5 * t):
+    if kept is not None and kept[:2] == (ch, 0.5 * t) and 0.5 * kept[1] * 2.0 == kept[1]:
         h = kept[2].copy()
         fresh = _exponents(a) < 1
         if fresh.any():

@@ -523,6 +523,16 @@ class TestIntegrate:
         assert min(shares) == 0 and max(shares) == 1
         assert any(0 < f < 1 for f in shares)
 
+    def test_doubled_subnormal_step_is_a_fresh_call_bit_for_bit(self):
+        # rates of 1e308 put oracle-check's steps at 5e-309, 5e-309 and 1e-308;
+        # halving the kept 5e-309 rounds, so its blocks are not the half step's
+        ch = ChannelParams(1e308, 1e308, 0.1, 0.1)
+        kept = fock._step_propagators(ch, 20, 5e-309, None)
+        doubled = fock._step_propagators(ch, 20, 1e-308, kept)
+        fresh = fock._step_propagators(ch, 20, 1e-308, None)
+        for mine, ref in zip(doubled[2:], fresh[2:]):
+            assert mine.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("cutoff, a", [(8, 0.7), (12, 0.05), (20, 1.3)])
     def test_chain_does_not_depend_on_the_kept_step(self, cutoff, a):
         # times a, 2a, 4a, whose last step squares the kept one, against the
