@@ -168,10 +168,13 @@ def evolve_cm(cm: CovarianceMatrix, ch: ChannelParams, t: float) -> CovarianceMa
 
 def symmetric_initial_moments(r0: float, nu0: float = 0.0) -> tuple[float, float]:
     """Initial (n0, m0) for the symmetric case z = 0, nu1 = nu2 = nu0:
-    n0 = ((2 nu0 + 1) cosh 2r0 - 1)/2, m0 = (2 nu0 + 1) sinh(2 r0)/2."""
-    n0 = 0.5 * ((2.0 * nu0 + 1.0) * math.cosh(2.0 * r0) - 1.0)
-    m0 = 0.5 * (2.0 * nu0 + 1.0) * math.sinh(2.0 * r0)
-    return n0, m0
+    n0 = ((2 nu0 + 1) cosh 2r0 - 1)/2, m0 = (2 nu0 + 1) sinh(2 r0)/2.
+    DomainError, naming r0, where cosh or sinh overflows."""
+    try:
+        ch2r, sh2r = math.cosh(2.0 * r0), math.sinh(2.0 * r0)
+    except OverflowError:
+        raise DomainError(f"initial moments overflow at r0={r0}") from None
+    return 0.5 * ((2.0 * nu0 + 1.0) * ch2r - 1.0), 0.5 * (2.0 * nu0 + 1.0) * sh2r
 
 
 def evolve_symmetric(n0: float, m0: float, gamma: float, t: float) -> tuple[float, float]:

@@ -148,10 +148,14 @@ def symmetric_esd_decay_ratio_alt(z0: float, r0: float) -> float:
     (e.g. at z0 = 0 it yields a ratio in (0, 1), predicting finite-time
     separation where the decay is in fact asymptotic) and does not match the
     numeric root anywhere tested.  Kept so that the discrepancy stays pinned
-    (acceptance criterion 4).
+    (acceptance criterion 4).  DomainError where a term overflows or the
+    denominator vanishes.
     """
-    num = 2.0 * math.exp(r0) * math.cosh(2.0 * z0) * math.sinh(r0) - 2.0 * math.sinh(z0) ** 2
-    den = math.exp(2.0 * r0) * (math.cosh(2.0 * r0) - math.sinh(2.0 * z0))
+    try:
+        num = 2.0 * math.exp(r0) * math.cosh(2.0 * z0) * math.sinh(r0) - 2.0 * math.sinh(z0) ** 2
+        den = math.exp(2.0 * r0) * (math.cosh(2.0 * r0) - math.sinh(2.0 * z0))
+    except OverflowError:
+        raise DomainError(f"alt decay ratio overflows at z0={z0}, r0={r0}") from None
     if den == 0.0:
         raise DomainError(f"alt decay-ratio denominator vanishes at z0={z0}, r0={r0}")
     return num / den

@@ -289,13 +289,21 @@ def _two_mode_squeezed_raw(n1, n2, m1, m2, ms, mc, r):
 
 def locally_squeezed(cm: CovarianceMatrix, s1: float, s2: float) -> CovarianceMatrix:
     """Moments after applying single-mode squeezers (s1 on mode 1, s2 on
-    mode 2) to the state.  Leaves all five symplectic invariants unchanged."""
-    return CovarianceMatrix(*_locally_squeezed_raw(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, s1, s2))
+    mode 2) to the state.  Leaves all five symplectic invariants unchanged.
+    DomainError, naming s1 and s2, where a moment overflows."""
+    try:
+        return CovarianceMatrix(*_locally_squeezed_raw(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, s1, s2))
+    except OverflowError:
+        raise DomainError(f"squeezed moments overflow at s1={s1}, s2={s2}") from None
 
 
 def two_mode_squeezed(cm: CovarianceMatrix, r: float) -> CovarianceMatrix:
-    """Moments after applying the two-mode squeezer with parameter r."""
-    return CovarianceMatrix(*_two_mode_squeezed_raw(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, r))
+    """Moments after applying the two-mode squeezer with parameter r.
+    DomainError, naming r, where a moment overflows."""
+    try:
+        return CovarianceMatrix(*_two_mode_squeezed_raw(cm.n1, cm.n2, cm.m1, cm.m2, cm.ms, cm.mc, r))
+    except OverflowError:
+        raise DomainError(f"squeezed moments overflow at r={r}") from None
 
 
 def _clamped_arctanh(x: float, what: str) -> float:

@@ -20,6 +20,8 @@ from gaussesd import (
     evolve,
     simon_from_moments,
     states,
+    symmetric_esd_decay_ratio_alt,
+    symmetric_initial_moments,
     two_mode_squeezed,
 )
 from conftest import MOMENT_FIELDS, moment_diff, param_diff
@@ -422,6 +424,20 @@ class TestTypes:
         assert (cm.n1, cm.n2) == (0.0, 0.0)
         with pytest.raises(ValueError, match="occupations must be >= 0, got n2"):
             CovarianceMatrix(0.0, -1.01e-12, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda cm: locally_squeezed(cm, 400.0, 0.0), "squeezed moments overflow at s1=400.0, s2=0.0"),
+        (lambda cm: two_mode_squeezed(cm, 400.0), "squeezed moments overflow at r=400.0"),
+        (lambda cm: symmetric_initial_moments(400.0), "initial moments overflow at r0=400.0"),
+        (lambda cm: symmetric_esd_decay_ratio_alt(400.0, 1.0),
+         "alt decay ratio overflows at z0=400.0, r0=1.0"),
+    ], ids=["locally_squeezed", "two_mode_squeezed", "symmetric_initial_moments",
+            "symmetric_esd_decay_ratio_alt"])
+    def test_squeezing_overflow_is_a_named_domain_error(self, call, named):
+        # cosh and sinh of 800, or cosh(400) squared, overflow: a DomainError
+        # naming the squeezing, never a bare OverflowError
+        with pytest.raises(DomainError, match=f"^{named}$"):
+            call(cm_from_params(GaussianParams.tmsv(0.5)))
 
 
 def symplectic_eigenvalues(cm):
