@@ -166,7 +166,7 @@ def invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
 
     iv is the determinant of the 4x4 matrix: every 2x2 block has the form
     ((x, y), (y, x)), so the rotation to (x + y, x - y) splits it into two
-    2x2 determinants.  Squares are products, so no moment raises.
+    2x2 determinants.  Squares are products: large moments give inf or NaN.
     """
     a = cm.n1 + 0.5
     b = cm.n2 + 0.5
