@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -51,6 +52,18 @@ def scale_exponents(rng, ch) -> list[int]:
     where 2 gamma overflows for the faster rate (and often gamma1 + gamma2)."""
     top = 1024 - max(math.frexp(g)[1] for g in (ch.gamma1, ch.gamma2))
     return [int(k) for k in rng.integers(-1000, 1001, 2)] + [top]
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during call(), measured after
+    one untraced warm-up call has filled the layout caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def moment_diff(a, b) -> float:

@@ -765,6 +765,28 @@ def sign_of(s: float) -> int:
     return 1 if s > 1e-12 else (-1 if s < -1e-12 else 0)
 
 
+class TestSimonSign:
+    def test_dead_band_edges(self):
+        s = np.array([-1.0, np.nextafter(-SIGN_TOL, -1.0), -SIGN_TOL, -0.0, 0.0,
+                      SIGN_TOL, np.nextafter(SIGN_TOL, 1.0), 1.0])
+        assert simon_sign(s).tolist() == [-1, -1, 0, 0, 0, 0, 1, 1]
+
+    def test_nan_and_infinities(self):
+        assert simon_sign(np.array([np.nan, np.inf, -np.inf])).tolist() == [0, 1, -1]
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (3, 5)])
+    def test_int64_of_the_input_shape(self, rng, shape):
+        got = simon_sign(rng.normal(0.0, 2e-12, shape))
+        assert got.dtype == np.int64 and got.shape == shape
+
+    @pytest.mark.parametrize("s, want", [(1.0, 1), (-1.0, -1), (5e-13, 0), (math.nan, 0),
+                                         (np.float64(-math.inf), -1)])
+    def test_a_float_gives_a_0d_array(self, s, want):
+        got = simon_sign(s)
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == np.int64
+        assert got == want
+
+
 class TestBoundarySweep:
     def test_boundary_location(self):
         ch = ChannelParams.symmetric(0.1)

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from gaussesd.fock import (
     integrate,
     moments,
 )
-from conftest import MOMENT_FIELDS, moment_diff
+from conftest import MOMENT_FIELDS, moment_diff, traced_peak
 from fock_reference import kron_initial_state, lindblad_rhs, mode_generator
 
 
@@ -827,18 +826,6 @@ class TestMoments:
         rho = FockDensityMatrix(cutoff=3, data=np.eye(9, dtype=complex) / 9.0)
         assert rho.data.dtype == np.float64
         assert np.array_equal(rho.data, np.eye(9) / 9.0)
-
-
-def traced_peak(call):
-    """Peak bytes that numpy and Python allocate during call(), measured after
-    one untraced warm-up call has filled the layout caches."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestAllocation:

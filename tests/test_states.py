@@ -392,6 +392,22 @@ class TestSimonKernel:
                 want = simon_criterion(CovarianceMatrix(*(getattr(cm, k) * f for k in MOMENT_FIELDS)))
                 assert got[i, j] == want
 
+    @pytest.mark.parametrize("layout", ["frcrcr", "crfrcr", "rcrcrf"])
+    def test_broadcasts_mixed_shapes(self, rng, layout):
+        # each moment a float (f), an (S, 1) column (c) or a (T,) row (r);
+        # occupations >= 0, the rest of either sign
+        shapes = {"f": (), "c": (6, 1), "r": (9,)}
+        lows = (0.0, 0.0, -3.0, -3.0, -3.0, -3.0)
+        moments = [rng.uniform(lo, 3.0, shapes[k]) for lo, k in zip(lows, layout)]
+        moments = [float(x) if x.ndim == 0 else x for x in moments]
+        got = simon_from_moments(*moments)
+        assert got.shape == (6, 9)
+        cells = [np.broadcast_to(x, got.shape) for x in moments]
+        for i in range(6):
+            for j in range(9):
+                want = simon_criterion(CovarianceMatrix(*(float(x[i, j]) for x in cells)))
+                assert got[i, j] == want
+
 
 class TestTypes:
     def test_params_reject_negative_occupation(self):
