@@ -53,8 +53,11 @@ SCAN_STRIDE = 4
 
 
 def simon_sign(s):
-    """Elementwise Simon sign: -1 entangled, +1 separable, 0 inside the dead band."""
-    return np.where(s > SIGN_TOL, 1, np.where(s < -SIGN_TOL, -1, 0))
+    """Elementwise Simon sign as int64: -1 entangled, +1 separable, 0 inside
+    the dead band and for NaN; a float gives a 0-d array.  The two
+    comparisons are subtracted into one int64 array."""
+    s = np.asarray(s)
+    return np.subtract(s > SIGN_TOL, s < -SIGN_TOL, out=np.empty(s.shape, np.int64), dtype=np.int64)
 
 
 def count_sign_changes(values) -> int:
